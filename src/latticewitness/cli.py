@@ -141,7 +141,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    workers = int(os.environ.get("LW_WORKERS", args.workers))
+    try:
+        workers = int(os.environ.get("LW_WORKERS", args.workers))
+    except ValueError:
+        raise ParseError(f"LW_WORKERS is not an integer: {os.environ['LW_WORKERS']!r}")
     records = lattice.survey_all(workers=workers, cross_validate=args.cross_validate)
     if args.cross_validate:
         bad = [r for r in records if r.cross_check_ok is False]
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--cross-validate", action="store_true",
-                   help="check combinatorial PPT against numeric PT eigenvalues")
+                   help="check combinatorial PPT and the exact PT eigenvalue against numpy.linalg")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_survey)
 

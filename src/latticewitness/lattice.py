@@ -5,8 +5,11 @@ end-to-end classifier.
 
 A subset I of the lattice is a 16-bit mask with bit 4*beta + alpha set
 for point (alpha, beta).  All criteria below are exact integer
-combinatorics; numeric evidence (partial-transpose spectra) is attached
-where the classification calls for it.
+combinatorics.  The minimum partial-transpose eigenvalue of an NPT
+subset is the closed form (N - 2c)/(4N), c the largest cross count;
+`pt_min_eig` computes it with numpy.linalg as an independent oracle
+for cross-validation only.  `classify` and `survey_all` share one code
+path, so a mask gets the same certificate from either.
 """
 
 from __future__ import annotations
@@ -15,15 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, pauli, states
-
-
-class EmptySubset(ValueError):
-    pass
-
-
-class NotPpt(ValueError):
-    pass
+from . import criteria, linalg, pauli, states
+from .criteria import NotPpt
+from .states import EmptySubset
 
 
 class BadCovering(ValueError):
@@ -85,6 +82,7 @@ def _build_all_quadruples():
 
 
 ALL_QUADRUPLES = _build_all_quadruples()
+_QUADRUPLE = {q: q for q in ALL_QUADRUPLES}
 QUAD_MASKS = [sum(1 << point_bit(p) for p in q) for q in ALL_QUADRUPLES]
 _Q00_MASKS = frozenset(sum(1 << point_bit(p) for p in q) for q in quadruples_q00())
 
@@ -110,11 +108,11 @@ def _row_col_counts(mask: int):
     return rows, cols
 
 
-def _cross_count(mask: int, p) -> int:
-    """Points of I on the row and column through p, p itself excluded."""
-    rows, cols = _row_col_counts(mask)
-    chi = mask >> point_bit(p) & 1
-    return rows[p[1]] + cols[p[0]] - 2 * chi
+def _max_cross_count(I: int) -> int:
+    """Largest number of points of I on the row plus column through a
+    lattice point p, p itself excluded."""
+    rows, cols = _row_col_counts(I)
+    return max(rows[b] + cols[a] - 2 * (I >> (4 * b + a) & 1) for a, b in ALL_POINTS)
 
 
 def ppt_combinatorial(I: int) -> bool:
@@ -123,12 +121,7 @@ def ppt_combinatorial(I: int) -> bool:
     n = popcount(I)
     if n == 0:
         raise EmptySubset("empty lattice subset")
-    rows, cols = _row_col_counts(I)
-    for a, b in ALL_POINTS:
-        chi = I >> (4 * b + a) & 1
-        if 2 * (rows[b] + cols[a] - 2 * chi) > n:
-            return False
-    return True
+    return 2 * _max_cross_count(I) <= n
 
 
 def entangled_one_point(I: int):
@@ -322,7 +315,9 @@ def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
 
 def pt_min_eig(I: int) -> float:
     """Numeric minimum eigenvalue of the partial transpose of the
-    lattice state (independent oracle for the combinatorial test)."""
+    lattice state: the independent numpy.linalg oracle against which
+    cross-validation checks the combinatorial PPT test and the exact
+    NptEntangled eigenvalue."""
     rho = states.lattice_state(I)
     return float(np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (4, 4), 2))[0])
 
@@ -339,35 +334,42 @@ class Classification:
     witness_delta: float = None
 
 
-def classify(I: int, max_multiplicity: int = 12, witness: bool = False, seed: int = 0xC0FFEE) -> Classification:
+def classify(I: int, max_multiplicity: int = 12, witness: bool = False, seed: int = 0xC0FFEE,
+             *, memo: dict = None) -> Classification:
     """Evaluation order: combinatorial PPT, then the entanglement
     criteria (special subset, one-point, k), then covering search.  All
-    firing criteria are recorded; the tag follows that precedence."""
+    firing criteria are recorded; the tag follows that precedence.
+
+    An NPT subset records the exact minimum partial-transpose eigenvalue
+    (N - 2c)/(4N), c the largest cross count.  The covering is searched
+    on the translation-canonical mask and moved back onto I.  `memo`
+    (canonical mask -> covering, for one max_multiplicity) caches that
+    search across calls; the result is the same with or without it.
+    """
     n = popcount(I)
     if n == 0:
         raise EmptySubset("empty lattice subset")
     if not ppt_combinatorial(I):
-        return Classification("NptEntangled", ["npt"], min_pt_eig=pt_min_eig(I))
+        c = _max_cross_count(I)
+        return Classification("NptEntangled", ["npt"], min_pt_eig=(n - 2 * c) / (4 * n))
     sp = special_subset_point(I)
     op = entangled_one_point(I)
     kc = k_criterion(I)
-    fired = []
-    if sp is not None:
-        fired.append("special_subset")
-    if op is not None:
-        fired.append("one_point")
-    if kc is not None:
-        fired.append("k_criterion")
+    fired = [name for name, hit in (("special_subset", sp), ("one_point", op), ("k_criterion", kc)) if hit is not None]
     if fired:
         result = Classification("PptEntangled", fired, special_point=sp, one_point=op, k_pair=kc)
         if witness and sp is not None:
-            from . import criteria
-
             result.witness_delta = criteria.max_delta(I, sp, seed=seed)
         return result
-    cov = uniform_covering(I, max_multiplicity)
+    canon, t = canonical_mask(I)
+    if memo is None:
+        memo = {}
+    if canon not in memo:
+        memo[canon] = uniform_covering(canon, max_multiplicity)
+    cov = memo[canon]
     if cov is not None:
-        return Classification("Separable", [], covering=cov)
+        # tau_t maps I onto canon and is involutive, so it maps back
+        return Classification("Separable", [], covering=translate_covering(t, cov))
     return Classification("Unknown", [])
 
 
@@ -382,7 +384,8 @@ def canonical_mask(I: int):
 
 
 def translate_covering(t, cov: Covering) -> Covering:
-    items = [(tuple(sorted(pauli.tau(t, p) for p in q)), w) for q, w in cov.items]
+    # the images are looked up in _QUADRUPLE so coverings share its tuples
+    items = [(_QUADRUPLE[tuple(sorted(pauli.tau(t, p) for p in q))], w) for q, w in cov.items]
     return Covering(items, cov.multiplicity)
 
 
@@ -391,43 +394,21 @@ class SurveyRecord:
     mask: int
     n_points: int
     classification: Classification
-    cross_check_ok: bool = None  # combinatorial PPT vs numeric PT
+    cross_check_ok: bool = None  # combinatorial PPT and exact min PT eigenvalue vs numpy.linalg
 
 
 def _survey_range(masks, cross_validate, max_multiplicity, cov_cache):
     out = []
     for I in masks:
-        cls = _classify_cached(I, max_multiplicity, cov_cache)
+        cls = classify(I, max_multiplicity, memo=cov_cache)
         rec = SurveyRecord(I, popcount(I), cls)
         if cross_validate:
-            rec.cross_check_ok = ppt_combinatorial(I) == (
-                (cls.min_pt_eig if cls.min_pt_eig is not None else pt_min_eig(I)) >= -1e-9
+            numeric = pt_min_eig(I)
+            rec.cross_check_ok = ppt_combinatorial(I) == (numeric >= -1e-9) and (
+                cls.min_pt_eig is None or abs(cls.min_pt_eig - numeric) < 1e-12
             )
         out.append(rec)
     return out
-
-
-def _classify_cached(I, max_multiplicity, cov_cache):
-    """classify(), with the covering search memoized per translation
-    orbit (coverings map exactly under tau; the cheap criteria are
-    evaluated directly)."""
-    n = popcount(I)
-    if not ppt_combinatorial(I):
-        return Classification("NptEntangled", ["npt"], min_pt_eig=pt_min_eig(I))
-    sp = special_subset_point(I)
-    op = entangled_one_point(I)
-    kc = k_criterion(I)
-    fired = [name for name, hit in (("special_subset", sp), ("one_point", op), ("k_criterion", kc)) if hit is not None]
-    if fired:
-        return Classification("PptEntangled", fired, special_point=sp, one_point=op, k_pair=kc)
-    canon, t = canonical_mask(I)
-    if canon not in cov_cache:
-        cov_cache[canon] = uniform_covering(canon, max_multiplicity)
-    cov = cov_cache[canon]
-    if cov is not None:
-        # tau_t maps I onto canon and is involutive, so it maps back
-        return Classification("Separable", [], covering=translate_covering(t, cov))
-    return Classification("Unknown", [])
 
 
 def survey_all(workers: int = 1, cross_validate: bool = False, max_multiplicity: int = 12):

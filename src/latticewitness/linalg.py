@@ -2,10 +2,10 @@
 """Dense complex linear algebra for small matrices (dim <= ~100).
 
 Matrices are plain numpy complex arrays.  The Hermitian eigensolver is
-a self-contained cyclic Jacobi iteration (scalar kernel, JIT-compiled
-when numba is importable, with a vectorized numpy fallback); singular
-values are obtained from the eigenvalues of M^dag M.  Bipartite index
-convention is fixed once: composite index i = i1*d2 + i2.
+a self-contained cyclic Jacobi iteration, vectorized over disjoint
+rotation pairs; singular values are obtained from the eigenvalues of
+M^dag M.  Bipartite index convention is fixed once: composite index
+i = i1*d2 + i2.
 """
 
 from __future__ import annotations
@@ -37,59 +37,6 @@ def is_hermitian(M: np.ndarray, tol: float = 1e-10) -> bool:
     return float(np.max(np.abs(M - M.conj().T))) <= tol
 
 
-def _jacobi_scalar(A, V, skip, target):
-    """One cyclic-by-rows Jacobi iteration to convergence.
-
-    Rotates A in place (A becomes diagonal), accumulates the unitary in
-    V.  Returns the sweep count, or -1 if 100 sweeps did not converge.
-    Written with scalar loops so numba can compile it; the numpy
-    fallback below implements the same sweep with vectorized rounds.
-    """
-    n = A.shape[0]
-    for sweep in range(100):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += A[i, j].real ** 2 + A[i, j].imag ** 2
-        if np.sqrt(2.0 * off) < target:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                aa = abs(apq)
-                if aa <= skip:
-                    continue
-                phase = apq / aa
-                theta = (A[q, q].real - A[p, p].real) / (2 * aa)
-                sg = 1.0 if theta >= 0 else -1.0
-                t = sg / (abs(theta) + np.sqrt(1 + theta * theta))
-                c = 1.0 / np.sqrt(1 + t * t)
-                s = t * c
-                # 2x2 unitary: diag(1, conj(phase)) times a real rotation
-                jqp = -s * np.conj(phase)
-                jqq = c * np.conj(phase)
-                for k in range(n):
-                    akp = A[k, p]
-                    akq = A[k, q]
-                    A[k, p] = c * akp + jqp * akq
-                    A[k, q] = s * akp + jqq * akq
-                for k in range(n):
-                    apk = A[p, k]
-                    aqk = A[q, k]
-                    A[p, k] = c * apk + np.conj(jqp) * aqk
-                    A[q, k] = s * apk + np.conj(jqq) * aqk
-                for k in range(n):
-                    vkp = V[k, p]
-                    vkq = V[k, q]
-                    V[k, p] = c * vkp + jqp * vkq
-                    V[k, q] = s * vkp + jqq * vkq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = complex(A[p, p].real, 0.0)
-                A[q, q] = complex(A[q, q].real, 0.0)
-    return -1
-
-
 def _round_robin_pairs(n: int):
     """Pairings of 0..n-1 so each sweep visits every pair exactly once.
 
@@ -112,7 +59,12 @@ def _round_robin_pairs(n: int):
 
 
 def _jacobi_rounds(A, V, skip, target):
-    """Numpy fallback for _jacobi_scalar (round-robin pair ordering)."""
+    """Cyclic Jacobi sweeps to convergence, one round-robin round of
+    disjoint pairs at a time.
+
+    Rotates A in place (A becomes diagonal), accumulates the unitary in
+    V.  Returns the sweep count, or -1 if 100 sweeps did not converge.
+    """
     n = A.shape[0]
     rounds = _round_robin_pairs(n)
     for sweep in range(100):
@@ -150,14 +102,6 @@ def _jacobi_rounds(A, V, skip, target):
     return -1
 
 
-try:  # optional JIT; correctness does not depend on it
-    from numba import njit as _njit
-
-    _jacobi_kernel = _njit(cache=True)(_jacobi_scalar)
-except ImportError:  # pragma: no cover
-    _jacobi_kernel = _jacobi_rounds
-
-
 def hermitian_eig(M: np.ndarray, tol: float = 1e-10):
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
@@ -177,7 +121,7 @@ def hermitian_eig(M: np.ndarray, tol: float = 1e-10):
     # pivots below this size cannot push the off-diagonal norm above target
     skip = 1e-13 * fnorm / n
     target = 1e-12 * fnorm
-    if _jacobi_kernel(A, V, skip, target) < 0:
+    if _jacobi_rounds(A, V, skip, target) < 0:
         raise NoConvergence("Jacobi sweep cap (100) exceeded")
     w = np.real(np.diag(A))
     order = np.argsort(-w)

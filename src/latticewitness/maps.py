@@ -234,27 +234,6 @@ def phi_v_map(v_col, v_row) -> ChoiMap:
     return ChoiMap(tr - tp - sand, 4, 4)
 
 
-def named_map(name: str, **params):
-    """Dispatcher for the named maps used in examples and the CLI."""
-    if name == "trace_d":
-        d = params.get("d", 4)
-        n = {2: 1, 4: 2}.get(d)
-        if n is None:
-            raise BadParameter("trace_d supports d in {2, 4}")
-        return trace_map(n)
-    if name == "transposition_2":
-        return transposition_map(1)
-    if name == "transposition_4":
-        return transposition_map(2)
-    if name == "reduction_d":
-        return reduction_map(params.get("d", 3))
-    if name == "gamma_t":
-        return gamma_map(params["t"])
-    if name == "phi_v":
-        return phi_v_map(params["v_col"], params["v_row"])
-    raise BadParameter(f"unknown map name {name!r}")
-
-
 def coefficient_matrix(m: ChoiMap) -> np.ndarray:
     """Full coefficient matrix lambda_{w,w'} with L = sum lambda_{w,w'} S_{w,w'},
     where S_{w,w'}[X] = sigma_w X sigma_w'; equals <Psi_w|C|Psi_w'>."""
@@ -262,9 +241,6 @@ def coefficient_matrix(m: ChoiMap) -> np.ndarray:
     n = d.bit_length() - 1
     if 2**n != d or m.out_dim != d:
         raise BadParameter("coefficient extraction needs a square qubit algebra")
-    projs = states._basis_projectors(n)
-    # rank-1 projectors share the basis vectors; recover them from column 0 is
-    # fragile, so rebuild the basis vectors directly
     plus = states.max_symmetric_vector(d)
     vecs = []
     for w in states.words(n):

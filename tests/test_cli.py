@@ -84,6 +84,13 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_survey_rejects_bad_worker_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LW_WORKERS", "abc")
+    assert cli.main(["survey", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "error: LW_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_state_subcommand(capsys):
     assert cli.main(["state", "--type", "tiles"]) == 0
     out = capsys.readouterr().out

@@ -57,12 +57,16 @@ def test_combinatorial_ppt_matches_numeric_sample():
         mask = int(rng.integers(1, 1 << 16))
         comb = lattice.ppt_combinatorial(mask)
         assert comb == (lattice.pt_min_eig(mask) >= -1e-9)
+        if not comb:
+            assert abs(lattice.classify(mask).min_pt_eig - lattice.pt_min_eig(mask)) < 1e-12
 
 
 def test_ppt_empty_subset_raises():
     with pytest.raises(lattice.EmptySubset):
         lattice.ppt_combinatorial(0)
     with pytest.raises(lattice.EmptySubset):
+        lattice.classify(0)
+    with pytest.raises(states.EmptySubset):
         lattice.classify(0)
 
 
@@ -181,9 +185,11 @@ def test_classify_with_witness():
 
 
 def test_survey_sample_matches_classify():
-    # survey records are a pure function of the mask
-    recs = lattice._survey_range(range(1, 200), True, 12, {})
-    for rec in recs:
-        direct = lattice.classify(rec.mask)
-        assert rec.classification.tag == direct.tag
+    # survey records are a pure function of the mask and carry the same
+    # classification as classify; 0x0bff, 0x0dff and 0x0eff are the first
+    # masks whose direct covering search differs from the translated
+    # covering of their canonical mask
+    masks = list(range(1, 200)) + [0x0BFF, 0x0DFF, 0x0EFF]
+    for rec in lattice._survey_range(masks, True, 12, {}):
+        assert rec.classification == lattice.classify(rec.mask)
         assert rec.cross_check_ok
