@@ -6,7 +6,9 @@ Headline entry points: `lattice.classify` for a single subset,
 detectors and witnesses, and the `lw` command-line tool.
 """
 
-from . import cli, criteria, lattice, linalg, maps, pauli, states
+import importlib
+
+from . import criteria, lattice, linalg, maps, pauli, states
 from .lattice import classify, survey_all, uniform_covering
 from .states import lattice_state, sigma_diagonal_state
 
@@ -18,3 +20,11 @@ __all__ = [
     "lattice_state", "sigma_diagonal_state",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # `cli` is imported on first use, so that `python -m latticewitness.cli`
+    # does not find it in sys.modules already
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 parse/usage error, 3 verification failure,
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -101,11 +100,16 @@ def report_record(rec: lattice.SurveyRecord) -> dict:
 def cmd_classify(args) -> int:
     if args.pattern:
         try:
-            with open(args.pattern) as fh:
-                mask = parse_pattern(fh.read())
+            with open(args.pattern, encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             print(f"error: cannot read {args.pattern}: {exc}", file=sys.stderr)
             return 4
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.pattern} is not UTF-8 text: {exc}")
+        mask = parse_pattern(text)
+        if mask == 0:
+            raise ParseError(f"{args.pattern}: the grid has no occupied point")
     else:
         mask = _parse_mask(args.mask)
     cls = lattice.classify(mask, witness=args.witness, seed=args.seed)
@@ -141,11 +145,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    try:
-        workers = int(os.environ.get("LW_WORKERS", args.workers))
-    except ValueError:
-        raise ParseError(f"LW_WORKERS is not an integer: {os.environ['LW_WORKERS']!r}")
-    records = lattice.survey_all(workers=workers, cross_validate=args.cross_validate)
+    records = lattice.survey_all(cross_validate=args.cross_validate)
     if args.cross_validate:
         bad = [r for r in records if r.cross_check_ok is False]
         if bad:
@@ -173,7 +173,7 @@ def cmd_survey(args) -> int:
     counts = {}
     for r in records:
         counts[r.classification.tag] = counts.get(r.classification.tag, 0) + 1
-    print(f"records: {len(records)}   workers: {workers}")
+    print(f"records: {len(records)}")
     for tag in sorted(counts):
         print(f"  {tag}: {counts[tag]}")
     return 0
@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--cross-validate", action="store_true",
                    help="check combinatorial PPT and the exact PT eigenvalue against numpy.linalg")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored: the survey runs in one process")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("verify-thesis", help="check every worked example")

@@ -8,8 +8,10 @@ for point (alpha, beta).  All criteria below are exact integer
 combinatorics.  The minimum partial-transpose eigenvalue of an NPT
 subset is the closed form (N - 2c)/(4N), c the largest cross count;
 `pt_min_eig` computes it with numpy.linalg as an independent oracle
-for cross-validation only.  `classify` and `survey_all` share one code
-path, so a mask gets the same certificate from either.
+for cross-validation only.  A lattice translation tau_t XORs each
+point's bit index with that of t.  `survey_all` is one loop over
+`classify` in one process, so a mask gets the same certificate from
+either.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import criteria, linalg, pauli, states
+from . import criteria, linalg, states
 from .criteria import NotPpt
 from .states import EmptySubset
 
@@ -39,11 +41,10 @@ def popcount(mask: int) -> int:
 
 
 def translate_mask(t, mask: int) -> int:
-    """Image of a subset mask under the lattice translation tau_t."""
-    out = 0
-    for p in states.mask_points(mask):
-        out |= 1 << point_bit(pauli.tau(t, p))
-    return out
+    """Image of a subset mask under the lattice translation tau_t, which
+    moves bit i to bit i ^ point_bit(t) (Pauli product indices XOR)."""
+    s = point_bit(t)
+    return sum(1 << (b ^ s) for b in range(16) if mask >> b & 1)
 
 
 # The 15 special quadruples through (0,0): each is {(0,0)} plus a
@@ -73,18 +74,13 @@ def quadruples_q00() -> list:
 
 
 def _build_all_quadruples():
-    seen = {}
-    for q in quadruples_q00():
-        for t in ALL_POINTS:
-            img = tuple(sorted(pauli.tau(t, p) for p in q))
-            seen.setdefault(img, 0)
-    return sorted(seen)
+    masks = {translate_mask(t, states.points_mask(q)) for q in quadruples_q00() for t in ALL_POINTS}
+    return sorted(tuple(sorted(states.mask_points(m))) for m in masks)
 
 
 ALL_QUADRUPLES = _build_all_quadruples()
-_QUADRUPLE = {q: q for q in ALL_QUADRUPLES}
-QUAD_MASKS = [sum(1 << point_bit(p) for p in q) for q in ALL_QUADRUPLES]
-_Q00_MASKS = frozenset(sum(1 << point_bit(p) for p in q) for q in quadruples_q00())
+QUAD_MASKS = [states.points_mask(q) for q in ALL_QUADRUPLES]
+_QUADRUPLE = dict(zip(QUAD_MASKS, ALL_QUADRUPLES))  # mask -> point tuple
 
 
 def all_quadruples() -> list:
@@ -92,14 +88,8 @@ def all_quadruples() -> list:
 
 
 def is_special(points) -> bool:
-    """True iff the four distinct points translate onto a quadruple
-    through (0,0)."""
-    pts = tuple(sorted(points))
-    if len(set(pts)) != 4:
-        return False
-    q0 = pts[0]
-    img = sum(1 << point_bit(pauli.tau(q0, p)) for p in pts)
-    return img in _Q00_MASKS
+    """True iff the points form one of the 60 special quadruples."""
+    return states.points_mask(points) in _QUADRUPLE
 
 
 def _row_col_counts(mask: int):
@@ -252,9 +242,14 @@ def _multicover(quads_bits, nbits, bit_to_pos, M):
     return list(weights) if solve() else None
 
 
-def uniform_covering(I: int, max_multiplicity: int = 12):
+# Largest multiplicity the covering search tries; the survey finds every
+# covering at M = 1, 2 or 4.
+MAX_MULTIPLICITY = 12
+
+
+def uniform_covering(I: int):
     """Minimal-multiplicity uniform covering of I by special quadruples
-    inside I, searched for M = 1..max_multiplicity; None if none exists
+    inside I, searched for M = 1..MAX_MULTIPLICITY; None if none exists
     in that range."""
     n = popcount(I)
     if n == 0:
@@ -267,7 +262,7 @@ def uniform_covering(I: int, max_multiplicity: int = 12):
     bits = [b for b in range(16) if I >> b & 1]
     bit_to_pos = {b: i for i, b in enumerate(bits)}
     quads_bits = [tuple(b for b in bits if qm >> b & 1) for qm, _ in quads]
-    for M in range(1, max_multiplicity + 1):
+    for M in range(1, MAX_MULTIPLICITY + 1):
         if (M * n) % 4:
             continue
         weights = _multicover(quads_bits, len(bits), bit_to_pos, M)
@@ -334,8 +329,7 @@ class Classification:
     witness_delta: float = None
 
 
-def classify(I: int, max_multiplicity: int = 12, witness: bool = False, seed: int = 0xC0FFEE,
-             *, memo: dict = None) -> Classification:
+def classify(I: int, witness: bool = False, seed: int = 0xC0FFEE, *, memo: dict = None) -> Classification:
     """Evaluation order: combinatorial PPT, then the entanglement
     criteria (special subset, one-point, k), then covering search.  All
     firing criteria are recorded; the tag follows that precedence.
@@ -343,8 +337,8 @@ def classify(I: int, max_multiplicity: int = 12, witness: bool = False, seed: in
     An NPT subset records the exact minimum partial-transpose eigenvalue
     (N - 2c)/(4N), c the largest cross count.  The covering is searched
     on the translation-canonical mask and moved back onto I.  `memo`
-    (canonical mask -> covering, for one max_multiplicity) caches that
-    search across calls; the result is the same with or without it.
+    (canonical mask -> covering) caches that search across calls; the
+    result is the same with or without it.
     """
     n = popcount(I)
     if n == 0:
@@ -365,7 +359,7 @@ def classify(I: int, max_multiplicity: int = 12, witness: bool = False, seed: in
     if memo is None:
         memo = {}
     if canon not in memo:
-        memo[canon] = uniform_covering(canon, max_multiplicity)
+        memo[canon] = uniform_covering(canon)
     cov = memo[canon]
     if cov is not None:
         # tau_t maps I onto canon and is involutive, so it maps back
@@ -374,18 +368,16 @@ def classify(I: int, max_multiplicity: int = 12, witness: bool = False, seed: in
 
 
 def canonical_mask(I: int):
-    """Lexicographically least translate of I, with the translation."""
-    best = (I, (0, 0))
-    for t in ALL_POINTS:
-        img = translate_mask(t, I)
-        if img < best[0]:
-            best = (img, t)
-    return best
+    """Least translate of I, with the first translation (in ALL_POINTS
+    order) that gives it."""
+    imgs = [translate_mask(t, I) for t in ALL_POINTS]
+    i = imgs.index(min(imgs))
+    return imgs[i], ALL_POINTS[i]
 
 
 def translate_covering(t, cov: Covering) -> Covering:
     # the images are looked up in _QUADRUPLE so coverings share its tuples
-    items = [(_QUADRUPLE[tuple(sorted(pauli.tau(t, p) for p in q))], w) for q, w in cov.items]
+    items = [(_QUADRUPLE[translate_mask(t, states.points_mask(q))], w) for q, w in cov.items]
     return Covering(items, cov.multiplicity)
 
 
@@ -397,10 +389,11 @@ class SurveyRecord:
     cross_check_ok: bool = None  # combinatorial PPT and exact min PT eigenvalue vs numpy.linalg
 
 
-def _survey_range(masks, cross_validate, max_multiplicity, cov_cache):
+def _survey_range(masks, cross_validate):
+    memo = {}
     out = []
     for I in masks:
-        cls = classify(I, max_multiplicity, memo=cov_cache)
+        cls = classify(I, memo=memo)
         rec = SurveyRecord(I, popcount(I), cls)
         if cross_validate:
             numeric = pt_min_eig(I)
@@ -411,22 +404,8 @@ def _survey_range(masks, cross_validate, max_multiplicity, cov_cache):
     return out
 
 
-def survey_all(workers: int = 1, cross_validate: bool = False, max_multiplicity: int = 12):
-    """Classify every nonempty subset; returns records in mask order.
-
-    Deterministic and independent of the worker count (records are a
-    pure function of the mask).
-    """
-    masks = range(1, 1 << 16)
-    if workers <= 1:
-        return _survey_range(masks, cross_validate, max_multiplicity, {})
-    import multiprocessing as mp
-
-    chunks = [list(masks)[i::workers] for i in range(workers)]
-    with mp.Pool(workers) as pool:
-        parts = pool.starmap(
-            _survey_range, [(chunk, cross_validate, max_multiplicity, {}) for chunk in chunks]
-        )
-    out = [r for part in parts for r in part]
-    out.sort(key=lambda r: r.mask)
-    return out
+def survey_all(cross_validate: bool = False, *, workers: int = 1):
+    """Classify every nonempty subset in one process, sharing one
+    covering memo; returns records in mask order.  `workers` is accepted
+    for compatibility and ignored."""
+    return _survey_range(range(1, 1 << 16), cross_validate)

@@ -116,11 +116,10 @@ class SeesawResult:
     phi: np.ndarray
 
 
-def _seesaw_once(T, d1, d2, rng, minimize, iters=500):
+def _seesaw_once(T, d1, rng, minimize, iters=500):
     # T = choi reshaped (d1, d2, d1, d2); extremize <psi x phi|C|psi x phi>
     psi = rng.normal(size=d1) + 1j * rng.normal(size=d1)
     psi /= np.linalg.norm(psi)
-    pick = (lambda w, V: V[:, -1]) if minimize else (lambda w, V: V[:, 0])
     prev = None
     for _ in range(iters):
         Mphi = np.einsum("i,ijpq,p->jq", psi.conj(), T, psi)
@@ -148,7 +147,7 @@ def seesaw_extremum(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE, minimi
     best = None
     for i in range(restarts):
         rng = np.random.default_rng([seed, i])
-        val, psi, phi = _seesaw_once(T, d1, d2, rng, minimize)
+        val, psi, phi = _seesaw_once(T, d1, rng, minimize)
         if best is None or (val < best[0] - 1e-15 if minimize else val > best[0] + 1e-15):
             best = (val, psi, phi)
     return best

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latticewitness
 from latticewitness import cli, lattice
 
 
@@ -80,15 +85,34 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["classify", "--mask", "nope"]) == 2
     assert cli.main(["classify", "--mask", "0x0"]) == 2
     assert cli.main(["classify", "--pattern", str(tmp_path / "missing.txt")]) == 4
+    empty = tmp_path / "empty.txt"
+    empty.write_text(cli.render_pattern(0) + "\n")
+    capsys.readouterr()
+    assert cli.main(["classify", "--pattern", str(empty)]) == 2
+    assert "error: " in capsys.readouterr().err
     assert cli.main(["state", "--type", "werner", "--alpha", "2.0"]) == 2
     capsys.readouterr()
 
 
-def test_survey_rejects_bad_worker_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LW_WORKERS", "abc")
-    assert cli.main(["survey", "--out", str(tmp_path / "x.csv")]) == 2
-    assert "error: LW_WORKERS" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+def test_classify_rejects_non_utf8_pattern(tmp_path, capsys):
+    path = tmp_path / "grid.txt"
+    path.write_bytes(b"x x x x\n\xff . . .\n. . . .\n. . . .\n")
+    assert cli.main(["classify", "--pattern", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(latticewitness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "latticewitness.cli",
+         "classify", "--mask", "0x000f"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "classification: NptEntangled" in proc.stdout
 
 
 def test_state_subcommand(capsys):

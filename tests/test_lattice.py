@@ -190,6 +190,6 @@ def test_survey_sample_matches_classify():
     # masks whose direct covering search differs from the translated
     # covering of their canonical mask
     masks = list(range(1, 200)) + [0x0BFF, 0x0DFF, 0x0EFF]
-    for rec in lattice._survey_range(masks, True, 12, {}):
+    for rec in lattice._survey_range(masks, True):
         assert rec.classification == lattice.classify(rec.mask)
         assert rec.cross_check_ok

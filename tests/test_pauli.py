@@ -29,6 +29,7 @@ def test_product_index_is_xor():
     for a in range(4):
         for m in range(4):
             assert pauli.pauli_product(a, m)[0] == a ^ m
+            assert pauli.PRODUCT_INDEX[a][m] == a ^ m
 
 
 def test_commute_sign_matches_matrix_commutators():
@@ -79,6 +80,8 @@ def test_tau_is_involutive_translation():
             q = pauli.tau(t, p)
             assert pauli.tau(t, q) == p
             assert q == (p[0] ^ t[0], p[1] ^ t[1])
+            # so tau_t XORs the bit index 4*beta + alpha with that of t
+            assert 4 * q[1] + q[0] == (4 * t[1] + t[0]) ^ (4 * p[1] + p[0])
 
 
 def test_check_index_rejects_out_of_range():
