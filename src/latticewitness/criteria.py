@@ -95,22 +95,18 @@ def witness_value(W: Witness, rho: states.DensityMatrix) -> float:
     return float(val.real)
 
 
-def _point_coeff_index(p) -> int:
-    # point (alpha, beta) <-> word (alpha, beta), flat index 4*alpha + beta
-    return 4 * p[0] + p[1]
+def _check_point(I: int, p) -> None:
+    if p not in states.mask_points(I):
+        raise PointNotInSubset(f"{p} not in subset {I:#06x}")
 
 
 def diagonal_lattice_witness(I: int, p, delta: float) -> Witness:
     """Witness for the lattice state on subset `I` (16-bit mask): the Choi
     matrix of the diagonal map with coefficient 1/4 off I, -delta/4 at the
     point `p` in I, and 0 elsewhere.  Tr(W rho_I) = -delta/(4 N_I)."""
-    pts = states.mask_points(I)
-    if p not in pts:
-        raise PointNotInSubset(f"{p} not in subset {I:#06x}")
-    coeffs = np.full(16, 0.25)
-    for q in pts:
-        coeffs[_point_coeff_index(q)] = 0.0
-    coeffs[_point_coeff_index(p)] = -delta / 4.0
+    _check_point(I, p)
+    coeffs = 0.25 * (1.0 - states.lattice_indicator(I))
+    coeffs -= delta / 4.0 * states.lattice_indicator(states.points_mask([p]))
     choi = maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
     return Witness(choi.choi, (4, 4), "exact")
 
@@ -118,10 +114,7 @@ def diagonal_lattice_witness(I: int, p, delta: float) -> Witness:
 def _delta_choi(I: int, p, delta: float) -> maps.ChoiMap:
     # Choi whose product expectation equals the block-positivity margin:
     # coefficient 1 on I plus an extra delta at p.
-    coeffs = np.zeros(16)
-    for q in states.mask_points(I):
-        coeffs[_point_coeff_index(q)] = 1.0
-    coeffs[_point_coeff_index(p)] += delta
+    coeffs = states.lattice_indicator(I) + delta * states.lattice_indicator(states.points_mask([p]))
     return maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
 
 
@@ -145,8 +138,7 @@ def max_delta(I: int, p, seed: int = 0xC0FFEE, restarts: int = 64) -> float:
     shrinkage is sound.  Returns 0 when even delta = 1e-4 is violated.
     Each see-saw maximum is affine in delta, so the search tightens by
     cutting planes before a final full-restart validation."""
-    if not I >> (4 * p[1] + p[0]) & 1:
-        raise PointNotInSubset(f"{p} not in subset {I:#06x}")
+    _check_point(I, p)
     base = _delta_choi(I, p, 0.0)
     point = _delta_choi(I, p, 1.0).choi - base.choi
     res = 1e-4

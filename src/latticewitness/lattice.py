@@ -4,14 +4,17 @@ entanglement criteria, special quadruples, uniform coverings, and the
 end-to-end classifier.
 
 A subset I of the lattice is a 16-bit mask with bit 4*beta + alpha set
-for point (alpha, beta).  All criteria below are exact integer
-combinatorics.  The minimum partial-transpose eigenvalue of an NPT
-subset is the closed form (N - 2c)/(4N), c the largest cross count;
-`pt_min_eig` computes it with numpy.linalg as an independent oracle
-for cross-validation only.  A lattice translation tau_t XORs each
-point's bit index with that of t.  `survey_all` is one loop over
-`classify` in one process, so a mask gets the same certificate from
-either.
+for point (alpha, beta).  Inside this module subsets, quadruples and
+points are masks and bit indices; point tuples appear only where the
+public API takes or returns them, converted by `point_bit` (point to
+bit) and `ALL_POINTS[b]` (bit to point).  All criteria below are exact
+integer combinatorics on one table, the cross counts of `_cross_counts`.
+The minimum partial-transpose eigenvalue of an NPT subset is the closed
+form (N - 2c)/(4N), c the largest cross count; `pt_min_eig` computes it
+with numpy.linalg as an independent oracle for cross-validation only.
+A lattice translation tau_t XORs each point's bit index with that of t.
+`survey_all` is one loop over `classify` in one process, so a mask gets
+the same certificate from either.
 """
 
 from __future__ import annotations
@@ -92,17 +95,12 @@ def is_special(points) -> bool:
     return states.points_mask(points) in _QUADRUPLE
 
 
-def _row_col_counts(mask: int):
-    rows = [popcount(mask >> (4 * b) & 0xF) for b in range(4)]
-    cols = [popcount(mask >> a & 0x1111) for a in range(4)]
-    return rows, cols
-
-
-def _max_cross_count(I: int) -> int:
-    """Largest number of points of I on the row plus column through a
-    lattice point p, p itself excluded."""
-    rows, cols = _row_col_counts(I)
-    return max(rows[b] + cols[a] - 2 * (I >> (4 * b + a) & 1) for a, b in ALL_POINTS)
+def _cross_counts(I: int) -> list:
+    """Per bit 4*beta + alpha: the points of I on the row plus column
+    through (alpha, beta), the point itself excluded."""
+    rows = [popcount(I >> (4 * b) & 0xF) for b in range(4)]
+    cols = [popcount(I >> a & 0x1111) for a in range(4)]
+    return [rows[b >> 2] + cols[b & 3] - 2 * (I >> b & 1) for b in range(16)]
 
 
 def ppt_combinatorial(I: int) -> bool:
@@ -111,7 +109,7 @@ def ppt_combinatorial(I: int) -> bool:
     n = popcount(I)
     if n == 0:
         raise EmptySubset("empty lattice subset")
-    return 2 * _max_cross_count(I) <= n
+    return 2 * max(_cross_counts(I)) <= n
 
 
 def entangled_one_point(I: int):
@@ -121,10 +119,10 @@ def entangled_one_point(I: int):
     """
     if not ppt_combinatorial(I):
         raise NotPpt("one-point criterion applies to PPT subsets only")
-    rows, cols = _row_col_counts(I)
-    for a, b in ALL_POINTS:
-        if not I >> (4 * b + a) & 1 and rows[b] + cols[a] == 1:
-            return (a, b)
+    counts = _cross_counts(I)
+    for b in range(16):
+        if not I >> b & 1 and counts[b] == 1:
+            return ALL_POINTS[b]
     return None
 
 
@@ -138,30 +136,28 @@ def k_criterion(I: int):
     """
     if not ppt_combinatorial(I):
         raise NotPpt("k-criterion applies to PPT subsets only")
-    rows, cols = _row_col_counts(I)
+    counts = _cross_counts(I)
     for mu in range(4):
-        c = (mu + 2) % 4
         for nu in range(4):
-            r = (nu + 2) % 4
-            chi = I >> (4 * r + c) & 1
-            if rows[r] + cols[c] - 2 * chi == 1:
+            if counts[point_bit(((mu + 2) % 4, (nu + 2) % 4))] == 1:
                 return (mu, nu)
     return None
 
 
 def special_subset_point(I: int):
-    """A point of I contained in no special quadruple inside I, if any.
+    """A point of I contained in no special quadruple inside I, if any
+    (the one with the lowest bit).
 
     Presence makes I a special subset: its lattice state is entangled.
     """
     if popcount(I) == 0:
         raise EmptySubset("empty lattice subset")
-    inside = [q for q in QUAD_MASKS if q & I == q]
-    for a, b in states.mask_points(I):
-        bit = 1 << (4 * b + a)
-        if not any(q & bit for q in inside):
-            return (a, b)
-    return None
+    covered = 0
+    for q in QUAD_MASKS:
+        if q & I == q:
+            covered |= q
+    rest = I & ~covered
+    return ALL_POINTS[(rest & -rest).bit_length() - 1] if rest else None
 
 
 @dataclass
@@ -177,69 +173,67 @@ class Covering:
         return sum(w for _, w in self.items)
 
 
-def _multicover(quads_bits, nbits, bit_to_pos, M):
-    """Exact search: nonnegative integer weights on the quadruples such
-    that every subset point is covered exactly M times.
+def _multicover(quads, I: int, M: int):
+    """Exact search: nonnegative integer weights on the quadruple masks
+    `quads` (each inside I) such that every point of I is covered
+    exactly M times.
 
     Depth-first with fail-first point selection; returns a weight list
-    or None.  Complete: once a point's demand is met, any quadruple
-    through it becomes unusable, so all its quadruples are decided at
-    the node where the point is processed.
+    or None.  `full` holds the bits that take no more cover (outside I,
+    or demand met), so a quadruple is usable iff it misses `full`.
+    Complete: once a point's demand is met, any quadruple through it
+    becomes unusable, so all its quadruples are decided at the node
+    where the point is processed.
     """
-    K = len(quads_bits)
-    residual = [M] * nbits
-    weights = [0] * K
-    quad_positions = [tuple(bit_to_pos[b] for b in qb) for qb in quads_bits]
-    covers = [[] for _ in range(nbits)]
-    for qi, qpos in enumerate(quad_positions):
-        for pos in qpos:
-            covers[pos].append(qi)
+    residual = [M] * 16
+    weights = [0] * len(quads)
+    full = 0xFFFF & ~I
+    covers = [[qi for qi, q in enumerate(quads) if q >> b & 1] for b in range(16)]
 
-    def usable(qi):
-        return all(residual[pos] > 0 for pos in quad_positions[qi])
+    def place(qi, step):
+        nonlocal full
+        weights[qi] += step
+        q = quads[qi]
+        while q:
+            low = q & -q
+            b = low.bit_length() - 1
+            residual[b] -= step
+            full = full & ~low if residual[b] else full | low
+            q ^= low
 
-    def pick_point():
-        best = None
-        for pos in range(nbits):
-            if residual[pos] == 0:
-                continue
-            cand = [qi for qi in covers[pos] if usable(qi)]
-            if not cand:
-                return pos, []
-            if best is None or len(cand) < len(best[1]):
-                best = (pos, cand)
-                if len(cand) == 1:
-                    break
-        return best if best is not None else (None, None)
-
-    def fill(pos, cand, start):
-        # choose a multiset of candidate quadruples covering `pos` until
-        # its demand is met; index-monotone to avoid duplicate orderings
-        if residual[pos] == 0:
+    def fill(b, cand, start):
+        # choose a multiset of candidate quadruples covering bit `b`
+        # until its demand is met; index-monotone to avoid duplicate
+        # orderings
+        if full >> b & 1:
             return solve()
         for i in range(start, len(cand)):
             qi = cand[i]
-            if not usable(qi):
+            if quads[qi] & full:
                 continue
-            for p in quad_positions[qi]:
-                residual[p] -= 1
-            weights[qi] += 1
-            if fill(pos, cand, i):
+            place(qi, 1)
+            if fill(b, cand, i):
                 return True
-            weights[qi] -= 1
-            for p in quad_positions[qi]:
-                residual[p] += 1
+            place(qi, -1)
         return False
 
     def solve():
-        pos, cand = pick_point()
-        if pos is None:
-            return True
-        if not cand:
-            return False
-        return fill(pos, cand, 0)
+        # fail-first: the open bit with the fewest usable quadruples,
+        # ties to the lowest bit
+        best = None
+        for b in range(16):
+            if full >> b & 1:
+                continue
+            cand = [qi for qi in covers[b] if not quads[qi] & full]
+            if not cand:
+                return False
+            if best is None or len(cand) < len(best[1]):
+                best = (b, cand)
+                if len(cand) == 1:
+                    break
+        return best is None or fill(*best, 0)
 
-    return list(weights) if solve() else None
+    return weights if solve() else None
 
 
 # Largest multiplicity the covering search tries; the survey finds every
@@ -256,19 +250,15 @@ def uniform_covering(I: int):
         raise EmptySubset("empty lattice subset")
     if n < 4:
         return None
-    quads = [(qm, ALL_QUADRUPLES[i]) for i, qm in enumerate(QUAD_MASKS) if qm & I == qm]
+    quads = [q for q in QUAD_MASKS if q & I == q]
     if not quads:
         return None
-    bits = [b for b in range(16) if I >> b & 1]
-    bit_to_pos = {b: i for i, b in enumerate(bits)}
-    quads_bits = [tuple(b for b in bits if qm >> b & 1) for qm, _ in quads]
     for M in range(1, MAX_MULTIPLICITY + 1):
         if (M * n) % 4:
             continue
-        weights = _multicover(quads_bits, len(bits), bit_to_pos, M)
+        weights = _multicover(quads, I, M)
         if weights is not None:
-            items = [(quads[i][1], w) for i, w in enumerate(weights) if w > 0]
-            return Covering(items, M)
+            return Covering([(_QUADRUPLE[q], w) for q, w in zip(quads, weights) if w > 0], M)
     return None
 
 
@@ -302,7 +292,7 @@ def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     for q, w in covering.items:
         rho_q = states.lattice_state(states.points_mask(q))
         mix += (w / total) * rho_q.mat
-        if linalg.min_eig(linalg.partial_transpose(rho_q.mat, (4, 4), 2)) < -1e-9:
+        if criteria.ppt_check(rho_q).detected:
             all_ppt = False
     err = float(np.max(np.abs(mix - states.lattice_state(I).mat)))
     return CertificateRecord([(q, w / total) for q, w in covering.items], err, all_ppt)
@@ -344,7 +334,7 @@ def classify(I: int, witness: bool = False, seed: int = 0xC0FFEE, *, memo: dict 
     if n == 0:
         raise EmptySubset("empty lattice subset")
     if not ppt_combinatorial(I):
-        c = _max_cross_count(I)
+        c = max(_cross_counts(I))
         return Classification("NptEntangled", ["npt"], min_pt_eig=(n - 2 * c) / (4 * n))
     sp = special_subset_point(I)
     op = entangled_one_point(I)

@@ -142,6 +142,8 @@ def seesaw_extremum(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE, minimi
     Restarts use independent sub-seeds; the merge is deterministic
     (extremal value, ties to the lowest sub-seed).
     """
+    if restarts < 1:
+        raise BadParameter("restarts must be at least 1")
     d1, d2 = m.in_dim, m.out_dim
     T = m.choi.reshape(d1, d2, d1, d2)
     best = None

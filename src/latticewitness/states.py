@@ -131,20 +131,24 @@ def points_mask(points) -> int:
     return mask
 
 
+def lattice_indicator(mask: int) -> np.ndarray:
+    """0/1 vector over the 16 two-qubit words in flat-index order: entry
+    4*alpha + beta is 1 iff point (alpha, beta) lies in the mask."""
+    return np.array([mask >> (4 * (w % 4) + w // 4) & 1 for w in range(16)], dtype=float)
+
+
 def lattice_state(subset) -> DensityMatrix:
     """Uniform sigma-diagonal state on a subset of the 4x4 lattice.
 
     `subset` is a 16-bit mask or an iterable of (alpha, beta) points.
     """
-    mask = subset if isinstance(subset, int) else points_mask(subset)
-    points = mask_points(mask)
-    if not points:
+    ind = lattice_indicator(subset if isinstance(subset, int) else points_mask(subset))
+    n = ind.sum()
+    if not n:
         raise EmptySubset("lattice subset is empty")
-    projs = _basis_projectors(2)
-    mat = np.zeros((16, 16), dtype=complex)
-    for alpha, beta in points:
-        mat += projs[4 * alpha + beta]
-    return DensityMatrix(mat / len(points), (4, 4))
+    # summed without BLAS: tensordot's BLAS threads keep spinning after
+    # each call, which doubled the process CPU of certificate checks
+    return DensityMatrix(_basis_projectors(2)[ind > 0].sum(axis=0) / n, (4, 4))
 
 
 _BELL = {

@@ -150,6 +150,13 @@ def test_survey_csv(tmp_path, capsys):
         "PptEntangled": 2688,
         "Separable": 8735,
     }
+    # the covering search over every Separable mask: minimal multiplicity
+    mult = {}
+    for row in rows:
+        if row["tag"] == "Separable":
+            m = json.loads(row["certificate"])["multiplicity"]
+            mult[m] = mult.get(m, 0) + 1
+    assert mult == {1: 511, 2: 6528, 4: 1696}
 
 
 def test_example_masks_resolve():

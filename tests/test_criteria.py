@@ -149,6 +149,17 @@ def test_max_delta_positive_on_a_special_subset_and_self_consistent():
 def test_max_delta_rejects_points_outside_the_subset():
     with pytest.raises(criteria.PointNotInSubset):
         criteria.max_delta(0x0001, (1, 1))
+    # off-lattice points: (5, 0) must not alias bit 5, (-1, 0) must not
+    # reach a negative shift
+    for p in ((5, 0), (-1, 0)):
+        with pytest.raises(criteria.PointNotInSubset):
+            criteria.max_delta(0xFFFF, p)
+        with pytest.raises(criteria.PointNotInSubset):
+            criteria.diagonal_lattice_witness(0xFFFF, p, 1.0)
+    # the special subset of the test above: its search reaches validation
+    special = states.points_mask([(0, 0), (2, 0), (3, 0), (3, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+    with pytest.raises(maps.BadParameter):
+        criteria.max_delta(special, (2, 2), restarts=0)
 
 
 def test_edge_witness_detects_its_source_state():

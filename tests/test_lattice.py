@@ -79,6 +79,29 @@ def test_criteria_require_ppt():
         lattice.k_criterion(npt_mask)
 
 
+def test_exhaustive_criteria_implications():
+    # on every PPT mask the one-point criterion implies the k-criterion;
+    # on every mask the special-subset flag is absent exactly when the
+    # quadruples inside I cover I (checked on point tuples)
+    quads = [frozenset(q) for q in lattice.all_quadruples()]
+    n_ppt = 0
+    for mask in range(1, 1 << 16):
+        if lattice.ppt_combinatorial(mask):
+            n_ppt += 1
+            if lattice.entangled_one_point(mask) is not None:
+                assert lattice.k_criterion(mask) is not None
+        points = frozenset(states.mask_points(mask))
+        covered = set()
+        for q in quads:
+            if q <= points:
+                covered |= q
+        sp = lattice.special_subset_point(mask)
+        assert (sp is None) == (covered == points)
+        if sp is not None:
+            assert sp in points and sp not in covered
+    assert n_ppt == 11423
+
+
 def test_one_point_examples():
     for name in ("one-point-6", "one-point-8"):
         mask = cli.example_mask(name)

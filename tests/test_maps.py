@@ -149,6 +149,15 @@ def test_seesaw_is_deterministic_and_bounded_by_extremal_eigenvalues():
     assert top[0] <= np.linalg.eigvalsh(cm.choi)[-1] + 1e-12
 
 
+def test_seesaw_rejects_fewer_than_one_restart():
+    cm = maps.reduction_map(2)
+    for restarts in (0, -1):
+        with pytest.raises(maps.BadParameter):
+            maps.seesaw_extremum(cm, restarts=restarts)
+        with pytest.raises(maps.BadParameter):
+            maps.block_positivity_seesaw(cm, restarts=restarts)
+
+
 def test_seesaw_certificate_is_reproducible_from_the_vectors():
     cm = maps.choi_of_diag(maps.transposition_map(2))
     res = maps.block_positivity_seesaw(cm, restarts=16, seed=99)

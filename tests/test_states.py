@@ -49,6 +49,21 @@ def test_lattice_state_rejects_empty_subset():
         states.lattice_state(0)
 
 
+def test_lattice_indicator_and_state_match_the_projector_sum():
+    # the indicator is in word order 4*alpha + beta; the state equals
+    # the plain loop over the subset's projectors, bit for bit
+    for mask in (0x0001, 0x8421, 0xFFFF, 0x1234, 0x2D71):
+        ind = states.lattice_indicator(mask)
+        points = states.mask_points(mask)
+        for alpha in range(4):
+            for beta in range(4):
+                assert ind[4 * alpha + beta] == ((alpha, beta) in points)
+        ref = np.zeros((16, 16), dtype=complex)
+        for alpha, beta in points:
+            ref += states.basis_projector((alpha, beta)).mat
+        assert np.array_equal(states.lattice_state(mask).mat, ref / len(points))
+
+
 def test_mask_points_round_trip():
     for mask in (0x0001, 0x8421, 0xFFFF, 0x1234):
         assert states.points_mask(states.mask_points(mask)) == mask
