@@ -138,7 +138,7 @@ def cmd_classify(args) -> int:
             print(f"  weight {w}: {list(q)}")
     if cls.witness_delta is not None:
         n = lattice.popcount(mask)
-        print(f"witness delta (heuristic upper bound): {cls.witness_delta:.6g}")
+        print(f"witness delta (exact): {cls.witness_delta:.6g}")
         if cls.witness_delta > 0:
             print(f"witness value on the state: {-cls.witness_delta / (4 * n):.12g}")
     return 0
@@ -203,7 +203,7 @@ def example_mask(name: str) -> int:
     return states.points_mask(WORKED_EXAMPLES[name])
 
 
-def _verify_rows(seed):
+def _verify_rows():
     """Yield (row name, ok, detail) for every worked-example claim."""
     # Werner family: detection exactly for alpha > 1/3
     alphas = np.arange(-1.0 / 3.0, 1.0 + 1e-9, 0.05)
@@ -264,9 +264,8 @@ def _verify_rows(seed):
 
 
 def cmd_verify_thesis(args) -> int:
-    print(f"seed: {args.seed:#x}")
     failures = 0
-    for name, ok, detail in _verify_rows(args.seed):
+    for name, ok, detail in _verify_rows():
         print(f"[{'PASS' if ok else 'FAIL'}] {name:24s} {detail}")
         failures += not ok
     print(f"{failures} failure(s)")
@@ -298,7 +297,7 @@ def cmd_state(args) -> int:
     except ValueError as exc:
         print(f"error: bad parameter: {exc}", file=sys.stderr)
         return 2
-    print(f"state: {args.type}   dims: {rho.dims}   seed: {args.seed:#x}")
+    print(f"state: {args.type}   dims: {rho.dims}")
     verdicts = [criteria.ppt_check(rho), criteria.reduction_check(rho)]
     if rho.dims[0] == rho.dims[1]:
         verdicts.insert(1, criteria.realignment_check(rho))
@@ -316,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--pattern", help="file with a 4x4 grid of x/. tokens")
     src.add_argument("--mask", help="16-bit hex mask, e.g. 0x7bde")
     p.add_argument("--witness", action="store_true",
-                   help="also compute the witness delta for special subsets")
+                   help="also compute the exact witness delta for special subsets")
     p.add_argument("--json", action="store_true", help="emit one JSON record")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+                   help="seed of the see-saw that re-checks the witness delta")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("survey", help="classify all 65535 subsets")
@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("verify-thesis", help="check every worked example")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify_thesis)
 
     p = sub.add_parser("state", help="run numeric detectors on a named state")
@@ -342,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=0.5, help="horodecki3x3 parameter")
     p.add_argument("--b", type=float, default=0.5, help="horodecki2x4 parameter")
     p.add_argument("--d", type=int, default=4, help="upb-even local dimension")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     p.set_defaults(func=cmd_state)
     return parser
 

@@ -3,7 +3,9 @@
 Numeric detectors (PPT, realignment, reduction) return a uniform verdict
 record; witness constructors produce Hermitian matrices that are
 nonnegative on product vectors (exactly for the diagonal lattice witness
-at a validated delta, heuristically for the edge witness).
+at delta <= `max_delta`, heuristically for the edge witness).
+`max_delta` is the closed form 4 - max |Q & I| over the special
+quadruples Q through the point.
 """
 
 from dataclasses import dataclass
@@ -26,6 +28,10 @@ class NotPpt(ValueError):
 
 
 class ZeroKernels(ValueError):
+    pass
+
+
+class DeltaViolated(RuntimeError):
     pass
 
 
@@ -131,42 +137,28 @@ def delta_violation(I: int, p, delta: float, restarts: int = 64, seed: int = 0xC
 
 
 def max_delta(I: int, p, seed: int = 0xC0FFEE, restarts: int = 64) -> float:
-    """Largest delta in (0, 4], at resolution 1e-4, for which the see-saw
-    finds no product vector pushing the delta quantity above 1 + 1e-9.
+    """Largest delta for which `diagonal_lattice_witness(I, p, delta)` is
+    block positive: delta* = 4 - max |Q & I| over the special quadruples
+    Q through p (0 when such a Q lies inside I, else 1, 2 or 3).
 
-    An upper bound is heuristic (the see-saw may miss violations); any
-    shrinkage is sound.  Returns 0 when even delta = 1e-4 is violated.
-    Each see-saw maximum is affine in delta, so the search tightens by
-    cutting planes before a final full-restart validation."""
+    Exact: a stabilizer product vector of the maximizing Q gives the
+    delta quantity (|Q & I| + delta)/4, which exceeds 1 for every delta
+    above delta*; at delta* the witness is block positive, by the
+    ovoid identity or by an explicit decomposition (both proved for
+    every point in tests/test_criteria.py).  One see-saw with `restarts`
+    seeded restarts re-checks delta* as an independent numeric
+    cross-check, so `seed` and `restarts` keep their meaning (and
+    `restarts < 1` raises `maps.BadParameter`); a product vector above
+    1 + 1e-9 raises `DeltaViolated`."""
+    from .lattice import QUAD_MASKS, point_bit  # lattice imports this module
+
     _check_point(I, p)
-    base = _delta_choi(I, p, 0.0)
-    point = _delta_choi(I, p, 1.0).choi - base.choi
-    res = 1e-4
-
-    def margin(delta, n):
-        val, psi, phi = delta_violation(I, p, delta, restarts=n, seed=seed)
-        v = np.kron(psi, phi)
-        slope = float(np.real(np.vdot(v, point @ v)))
-        return val, slope
-
-    delta = 4.0
-    for _ in range(32):
-        val, slope = margin(delta, max(restarts // 4, 8))
-        if val <= 1 + 1e-9:
-            break
-        cut = (1.0 - (val - slope * delta)) / slope if slope > 1e-12 else 0.0
-        cut = np.floor(cut / res) * res
-        if cut >= delta:
-            cut = delta - res
-        delta = max(cut, 0.0)
-        if delta == 0.0:
-            return 0.0
-    while delta > 0.0:
-        val, _ = margin(delta, restarts)
-        if val <= 1 + 1e-9:
-            return float(round(delta / res) * res)
-        delta = max(np.floor((delta - res) / res) * res, 0.0)
-    return 0.0
+    bit = 1 << point_bit(p)
+    delta = 4.0 - max((q & I).bit_count() for q in QUAD_MASKS if q & bit)
+    val, _, _ = delta_violation(I, p, delta, restarts=restarts, seed=seed)
+    if val > 1 + 1e-9:
+        raise DeltaViolated(f"see-saw value {val!r} > 1 at delta {delta} on {I:#06x}, {p}")
+    return delta
 
 
 def edge_witness(delta_state: states.DensityMatrix, seed: int = 0xC0FFEE,

@@ -273,10 +273,13 @@ class CertificateRecord:
 
 def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     """Check that the covering's convex mixture of quadruple states
-    reproduces the lattice state of I."""
+    reproduces the lattice state of I.  Every item must be one of the
+    special quadruple tuples of `all_quadruples()`."""
     n = popcount(I)
     counts = [0] * 16
     for q, w in covering.items:
+        if tuple(q) not in _QUADRUPLE.values():
+            raise BadCovering(f"{q} is not a special quadruple")
         if any(not I >> point_bit(p) & 1 for p in q):
             raise BadCovering("covering quadruple leaves the subset")
         for p in q:

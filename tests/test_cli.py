@@ -122,6 +122,19 @@ def test_state_subcommand(capsys):
     assert "detected=True" in out  # tiles is PPT entangled, realignment fires
 
 
+def test_only_classify_takes_a_seed(capsys):
+    # the seed drives the see-saw re-check of the witness delta; the other
+    # subcommands draw no random numbers
+    for argv in (["verify-thesis", "--seed", "1"], ["state", "--type", "tiles", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    mask = cli.example_mask("special-10")
+    assert cli.main(["classify", "--mask", f"{mask:#06x}", "--witness", "--seed", "0x5"]) == 0
+    out = capsys.readouterr().out
+    assert "seed: 0x5" in out and "witness delta (exact): 1\n" in out
+
+
 def test_verify_thesis_exit_and_rows(capsys):
     assert cli.main(["verify-thesis"]) == 3
     out = capsys.readouterr().out

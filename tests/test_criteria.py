@@ -1,9 +1,11 @@
-"""Numeric detectors, witness construction, and the delta search."""
+"""Numeric detectors, witness construction, and the exact witness delta."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from latticewitness import criteria, lattice, linalg, maps, states
+from latticewitness import criteria, lattice, linalg, maps, pauli, states
 
 
 def random_density(rng, d):
@@ -144,6 +146,111 @@ def test_max_delta_positive_on_a_special_subset_and_self_consistent():
     W = criteria.diagonal_lattice_witness(mask, p, delta)
     got = criteria.witness_value(W, states.lattice_state(mask))
     assert abs(got + delta / (4 * len(pts))) < 1e-12
+    # exact integers, where a step search lands one 1e-4 step low
+    assert criteria.max_delta(0x0001, (0, 0)) == 3.0
+    assert criteria.max_delta(0x1EEF, (0, 0)) == 1.0
+    assert criteria.max_delta(0x1FEE, (0, 2)) == 1.0
+
+
+def test_max_delta_is_exact_on_every_point(monkeypatch):
+    """delta* = max_delta(I, p) is the exact largest delta for which the
+    diagonal witness is block positive, for every subset I and point p in
+    I.  The map Lambda = sum_w c_w S_w (S_w[X] = sigma_w X sigma_w, c_w
+    the witness coefficients times 4: 1 off I, -delta at p, 0 on the
+    rest of I) is positive iff the witness is block positive.  Since
+    S_{w+p} = S_w o S_p, the pair (I, p) and the translate (I + p, (0,0))
+    have the same answer, so the 2^15 masks J containing (0,0) cover
+    every pair."""
+    optimize = pytest.importorskip("scipy.optimize")
+    words = states.words(2)
+    sig = [pauli.word_matrix(w) for w in words]
+    psi = np.array([np.kron(np.eye(4), s) @ states.max_symmetric_vector(4) for s in sig])
+
+    # translation: the delta Choi of (I, p) is the (1 x sigma_p)-conjugate
+    # of the one of (I + p, (0,0))
+    for I, p in ((0xF587, (3, 3)), (0x1FEE, (0, 2)), (0x8421, (2, 2))):
+        J = lattice.translate_mask(p, I)
+        U = np.kron(np.eye(4), pauli.word_matrix(p))
+        C_ip = criteria._delta_choi(I, p, 1.5).choi
+        C_j0 = criteria._delta_choi(J, (0, 0), 1.5).choi
+        assert np.allclose(C_ip, U @ C_j0 @ U.conj().T, atol=1e-14)
+
+    # upper bound: for each quadruple Q = t + L (L Lagrangian), the joint
+    # eigenvectors a of L's stabilizer give v = conj(a) x sigma_t a with
+    # |<v|Psi_w>|^2 = 1/4 on Q and 0 off Q, so the delta quantity at v is
+    # (|Q & I| + delta)/4 when p is in Q: above 1 for delta > 4 - |Q & I|
+    supports = []
+    for q in lattice.ALL_QUADRUPLES:
+        t = q[0]
+        gens = [pauli.tau(t, w) for w in q[1:3]]
+        _, A = np.linalg.eigh(pauli.word_matrix(gens[0]) + 2 * pauli.word_matrix(gens[1]))
+        qmask = states.points_mask(q)
+        choi = criteria._delta_choi(qmask, t, 0.5)
+        for a in A.T:
+            b = pauli.word_matrix(t) @ a
+            overlaps = np.abs(psi.conj() @ np.kron(a.conj(), b)) ** 2
+            assert np.allclose(overlaps, 0.25 * states.lattice_indicator(qmask), atol=1e-12)
+            assert abs(maps.product_expectation(choi, a.conj(), b) - 4.5 / 4) < 1e-12
+        supports.append(qmask)
+    through_origin = [s for s in supports if s & 1]
+    assert len(through_origin) == 15
+
+    masks = [J for J in range(1 << 16) if J & 1]
+    upper = {J: 4 - max((J & s).bit_count() for s in through_origin) for J in masks}
+    monkeypatch.setattr(criteria, "delta_violation", lambda I, p, delta, restarts, seed: (1.0, None, None))
+    assert all(criteria.max_delta(J, (0, 0)) == upper[J] for J in masks)
+
+    # lower bound at delta*: c >= 0 (delta* = 0, Lambda is CP), the ovoid
+    # identity (delta* = 1), or an exact decomposition c = a + t*b with
+    # a, b >= 0 (Lambda = CP + transposition o CP, t the coefficients of
+    # the transposition map and * XOR convolution).
+    # Ovoid identity: for 5 pairwise anticommuting words O and any state
+    # rho = (1 + sum r_w sigma_w)/4, sum_O S_w[rho] - rho = 1 - sum_O r_w
+    # sigma_w >= 0, so sum_O S_w - S_0 is positive, and so is Lambda when
+    # the complement of J contains O.
+    others = [w for w in words if w != (0, 0)]
+    ovoids = [o for o in itertools.combinations(others, 5)
+              if not any(pauli.words_commute(x, y) for x, y in itertools.combinations(o, 2))]
+    assert len(ovoids) == 6
+    rng = np.random.default_rng(47)
+    for o in ovoids:
+        for _ in range(20):
+            rho = random_density(rng, 4)
+            lhs = sum(s @ rho @ s for s in map(pauli.word_matrix, o)) - rho
+            rhs = np.eye(4) - sum(np.trace(rho @ s).real * s for s in map(pauli.word_matrix, o))
+            assert np.allclose(lhs, rhs, atol=1e-12)
+            assert np.linalg.eigvalsh(rhs)[0] > -1e-12
+    # sum_w (t*b)_w S_w is the transposition after sum_v b_v S_v
+    t = maps.transposition_map(2).coeffs
+    b = rng.random(16)
+    X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    tb = [sum(t[w ^ v] * b[v] for v in range(16)) for w in range(16)]
+    assert np.allclose(sum(c * s @ X @ s for c, s in zip(tb, sig)),
+                       sum(c * s @ X @ s for c, s in zip(b, sig)).T, atol=1e-12)
+    ovoid_masks = [states.points_mask(o) for o in ovoids]  # word (alpha, beta) is point (alpha, beta)
+    t4 = np.rint(4 * t).astype(int)
+    assert np.array_equal(np.abs(t4), np.ones(16, dtype=int))
+    T4 = np.array([[t4[w ^ v] for v in range(16)] for w in range(16)])
+    census = {"cp": 0, "ovoid": 0}
+    lp = {1: 0, 2: 0, 3: 0}
+    for J in masks:
+        d = upper[J]
+        if d == 0:
+            census["cp"] += 1
+            continue
+        if d == 1 and any(o & J == 0 for o in ovoid_masks):
+            census["ovoid"] += 1
+            continue
+        c16 = 16 * (1 - states.lattice_indicator(J)).astype(int)
+        c16[0] = -16 * d
+        res = optimize.linprog(np.zeros(16), A_ub=T4 / 4, b_ub=c16 / 16, bounds=(0, None), method="highs")
+        assert res.status == 0, f"{J:#06x}: no decomposition found"
+        b4 = np.rint(4 * res.x).astype(int)
+        assert (b4 >= 0).all() and (c16 - T4 @ b4 >= 0).all(), f"{J:#06x}: inexact decomposition"
+        assert not lattice.ppt_combinatorial(J)  # a decomposable witness detects only NPT states
+        lp[d] += 1
+    assert census == {"cp": 24823, "ovoid": 5133}
+    assert lp == {1: 2620, 2: 191, 3: 1}
 
 
 def test_max_delta_rejects_points_outside_the_subset():
@@ -160,6 +267,19 @@ def test_max_delta_rejects_points_outside_the_subset():
     special = states.points_mask([(0, 0), (2, 0), (3, 0), (3, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
     with pytest.raises(maps.BadParameter):
         criteria.max_delta(special, (2, 2), restarts=0)
+
+
+def test_max_delta_raises_when_the_seesaw_beats_it(monkeypatch):
+    seen = []
+
+    def fake(I, p, delta, restarts, seed):
+        seen.append((I, p, delta, restarts, seed))
+        return 1.5, None, None
+
+    monkeypatch.setattr(criteria, "delta_violation", fake)
+    with pytest.raises(criteria.DeltaViolated):
+        criteria.max_delta(0x1EEF, (0, 0), seed=7, restarts=3)
+    assert seen == [(0x1EEF, (0, 0), 1.0, 3, 7)]
 
 
 def test_edge_witness_detects_its_source_state():

@@ -160,6 +160,19 @@ def test_certificate_rejects_bad_coverings():
         lattice.separability_certificate(mask, lopsided)
 
 
+def test_certificate_rejects_items_that_are_not_special_quadruples():
+    # off-lattice points are caught before any bit shift ((5, 0) would
+    # alias (1, 1) and complete the special quadruple 0x0033), and the
+    # four rows of the full lattice, whose uniform mixture reproduces its
+    # state, are not special
+    rows = [tuple((a, b) for a in range(4)) for b in range(4)]
+    for mask, items in ((0xFFFF, [(((-1, 0), (0, 1), (1, 0), (1, 1)), 1)]),
+                        (0x0033, [(((0, 0), (1, 0), (5, 0), (0, 1)), 1)]),
+                        (0xFFFF, [(r, 1) for r in rows])):
+        with pytest.raises(lattice.BadCovering):
+            lattice.separability_certificate(mask, lattice.Covering(items, 1))
+
+
 def test_translation_covariance():
     rng = np.random.default_rng(11)
     for _ in range(50):
