@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import criteria, lattice, states
+from . import criteria, lattice, maps, states
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (states.BadWeights, states.OutOfRange, states.OddDim) as exc:
+    except (states.BadWeights, states.OutOfRange, states.OddDim, maps.BadParameter) as exc:
         print(f"error: bad parameter: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

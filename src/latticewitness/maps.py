@@ -116,22 +116,23 @@ class SeesawResult:
     phi: np.ndarray
 
 
-def _seesaw_once(T, d1, rng, minimize, iters=500):
-    # T = choi reshaped (d1, d2, d1, d2); extremize <psi x phi|C|psi x phi>
-    psi = rng.normal(size=d1) + 1j * rng.normal(size=d1)
-    psi /= np.linalg.norm(psi)
-    prev = None
+def _seesaw_batch(A, psi, d2, minimize, iters=500):
+    # A[(i,p),(j,q)] = C[(i,j),(p,q)]; psi is an (R, d1) stack of start
+    # vectors.  A restart stops once its value moves by less than 1e-10
+    # (val starts at NaN, so never after step one) and leaves the live set.
+    (R, d1), k = psi.shape, 0 if minimize else -1
+    phi, val, live = np.empty((R, d2), complex), np.full(R, np.nan), np.arange(R)
     for _ in range(iters):
-        Mphi = np.einsum("i,ijpq,p->jq", psi.conj(), T, psi)
-        w, V = np.linalg.eigh(Mphi)
-        phi = V[:, 0] if minimize else V[:, -1]
-        Mpsi = np.einsum("j,ijpq,q->ip", phi.conj(), T, phi)
+        p = psi[live]
+        Mphi = ((p.conj()[:, :, None] * p[:, None, :]).reshape(-1, d1 * d1) @ A).reshape(-1, d2, d2)
+        f = np.linalg.eigh(Mphi)[1][..., k]
+        Mpsi = ((f.conj()[:, :, None] * f[:, None, :]).reshape(-1, d2 * d2) @ A.T).reshape(-1, d1, d1)
         w, V = np.linalg.eigh(Mpsi)
-        psi = V[:, 0] if minimize else V[:, -1]
-        val = float(w[0] if minimize else w[-1])
-        if prev is not None and abs(val - prev) < 1e-10:
+        done = np.abs(w[:, k] - val[live]) < 1e-10
+        psi[live], phi[live], val[live] = V[..., k], f, w[:, k]
+        live = live[~done]
+        if not live.size:
             break
-        prev = val
     return val, psi, phi
 
 
@@ -139,20 +140,33 @@ def seesaw_extremum(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE, minimi
     """Best product-vector expectation value of the Choi matrix found by
     alternating eigenvector iteration with `restarts` seeded restarts.
 
-    Restarts use independent sub-seeds; the merge is deterministic
-    (extremal value, ties to the lowest sub-seed).
+    Restart i starts from a random vector drawn with sub-seed [seed, i];
+    all restarts run together as one stack, each stopping once its value
+    moves by less than 1e-10 (never after the first step, at most 500
+    steps).  The merge is deterministic (extremal value, ties to the
+    lowest sub-seed).  A non-Hermitian Choi matrix raises
+    `linalg.NotHermitian`; `restarts < 1` or `seed < 0` raises
+    `BadParameter`.
     """
     if restarts < 1:
         raise BadParameter("restarts must be at least 1")
+    if seed < 0:
+        raise BadParameter("seed must be nonnegative")
+    if not linalg.is_hermitian(m.choi, 1e-10):
+        raise linalg.NotHermitian("Choi matrix is not Hermitian")
     d1, d2 = m.in_dim, m.out_dim
-    T = m.choi.reshape(d1, d2, d1, d2)
-    best = None
+    A = m.choi.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+    psi = np.empty((restarts, d1), complex)
     for i in range(restarts):
         rng = np.random.default_rng([seed, i])
-        val, psi, phi = _seesaw_once(T, d1, rng, minimize)
-        if best is None or (val < best[0] - 1e-15 if minimize else val > best[0] + 1e-15):
-            best = (val, psi, phi)
-    return best
+        psi[i] = rng.normal(size=d1) + 1j * rng.normal(size=d1)
+        psi[i] /= np.linalg.norm(psi[i])
+    val, psi, phi = _seesaw_batch(A, psi, d2, minimize)
+    best = 0
+    for i in range(1, restarts):
+        if val[i] < val[best] - 1e-15 if minimize else val[i] > val[best] + 1e-15:
+            best = i
+    return float(val[best]), psi[best], phi[best]
 
 
 def block_positivity_seesaw(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE) -> SeesawResult:
@@ -161,8 +175,6 @@ def block_positivity_seesaw(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE
     A violation is a sound entanglement/non-positivity certificate; the
     no-violation outcome is heuristic.
     """
-    if not linalg.is_hermitian(m.choi, 1e-10):
-        raise linalg.NotHermitian("Choi matrix is not Hermitian")
     val, psi, phi = seesaw_extremum(m, restarts, seed, minimize=True)
     return SeesawResult(val < -1e-9, val, psi, phi)
 

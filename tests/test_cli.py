@@ -135,6 +135,14 @@ def test_only_classify_takes_a_seed(capsys):
     assert "seed: 0x5" in out and "witness delta (exact): 1\n" in out
 
 
+def test_negative_seed_is_a_bad_parameter(capsys):
+    mask = cli.example_mask("special-10")
+    assert cli.main(["classify", "--mask", f"{mask:#06x}", "--witness", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad parameter: seed must be nonnegative\n"
+
+
 def test_verify_thesis_exit_and_rows(capsys):
     assert cli.main(["verify-thesis"]) == 3
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@ see-saw."""
 import numpy as np
 import pytest
 
-from latticewitness import linalg, maps, pauli, states
+from latticewitness import criteria, linalg, maps, pauli, states
 
 
 def random_matrix(rng, n):
@@ -176,3 +176,53 @@ def test_seesaw_finds_violations_of_non_positive_maps():
     res = maps.block_positivity_seesaw(cm, restarts=16, seed=7)
     assert res.violated
     assert maps.product_expectation(cm, res.psi, res.phi) < -1e-6
+
+
+def test_seesaw_rejects_a_non_hermitian_choi_matrix():
+    # eigh reads one triangle only, so without the check this returns -8.23
+    cm = maps.ChoiMap(np.arange(16.0).reshape(4, 4) + 0j, 2, 2)
+    for minimize in (True, False):
+        with pytest.raises(linalg.NotHermitian):
+            maps.seesaw_extremum(cm, restarts=4, minimize=minimize)
+
+
+def _seesaw_reference(cm, restarts, seed, minimize):
+    # one restart at a time, contracting with einsum: the oracle for the
+    # batched kernel
+    d1, d2 = cm.in_dim, cm.out_dim
+    T = cm.choi.reshape(d1, d2, d1, d2)
+    k = 0 if minimize else -1
+    best = None
+    for i in range(restarts):
+        rng = np.random.default_rng([seed, i])
+        psi = rng.normal(size=d1) + 1j * rng.normal(size=d1)
+        psi /= np.linalg.norm(psi)
+        prev = None
+        for _ in range(500):
+            phi = np.linalg.eigh(np.einsum("i,ijpq,p->jq", psi.conj(), T, psi))[1][:, k]
+            w, V = np.linalg.eigh(np.einsum("j,ijpq,q->ip", phi.conj(), T, phi))
+            psi, val = V[:, k], float(w[k])
+            if prev is not None and abs(val - prev) < 1e-10:
+                break
+            prev = val
+        if best is None or (val < best - 1e-15 if minimize else val > best + 1e-15):
+            best = val
+    return best
+
+
+def test_batched_seesaw_matches_the_per_restart_loop():
+    rng = np.random.default_rng(9)
+    kraus = maps.KrausSet([(c, rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+                           for c in (1.0, 0.5)])
+    cases = [
+        (criteria._delta_choi(0x037f, (3, 0), 1.0), False),  # one restart runs 500 steps
+        (criteria._delta_choi(0xf587, (3, 3), 1.5), False),
+        (maps.reduction_map(3), True),
+        (maps.choi_of_kraus(kraus, 2), True),  # M_2 -> M_4
+    ]
+    for cm, minimize in cases:
+        for restarts in (1, 64):
+            val, psi, phi = maps.seesaw_extremum(cm, restarts=restarts, minimize=minimize)
+            assert psi.shape == (cm.in_dim,) and phi.shape == (cm.out_dim,)
+            assert abs(val - _seesaw_reference(cm, restarts, 0xC0FFEE, minimize)) < 1e-12
+            assert abs(val - maps.product_expectation(cm, psi, phi)) < 1e-10
