@@ -98,6 +98,8 @@ def report_record(rec: lattice.SurveyRecord) -> dict:
 
 
 def cmd_classify(args) -> int:
+    if args.seed < 0:
+        raise maps.BadParameter("seed must be nonnegative")
     if args.pattern:
         try:
             with open(args.pattern, encoding="utf-8") as fh:

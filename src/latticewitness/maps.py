@@ -7,8 +7,9 @@ so entry C[(i,j),(p,q)] = (1/n) <j| L[|i><p|] |q> and the Choi matrix
 of the identity map is P+ itself (trace 1).
 
 Sigma-diagonal maps L = sum_w lambda_w S_w (S_w[X] = sigma_w X sigma_w)
-are kept as plain coefficient vectors; their Choi matrix is
-sum_w lambda_w P_w, so the coefficients are exactly its eigenvalues.
+are kept as plain coefficient vectors; their Choi matrix
+sum_w lambda_w P_w (summed by `states._projector_sum`, like every
+sigma-diagonal matrix) has exactly the coefficients as eigenvalues.
 """
 
 from __future__ import annotations
@@ -53,12 +54,7 @@ class KrausSet:
 
 def choi_of_diag(m: SigmaDiagMap) -> ChoiMap:
     """Choi matrix sum_w lambda_w P_w of a sigma-diagonal map."""
-    if m.n > 2:
-        raise pauli.TooLarge("diagonal maps are materialized for n <= 2 only")
-    projs = states._basis_projectors(m.n)
-    C = np.tensordot(m.coeffs, projs, axes=1)
-    d = 2**m.n
-    return ChoiMap(C, d, d)
+    return ChoiMap(states._projector_sum(m.coeffs, m.n), 2**m.n, 2**m.n)
 
 
 def choi_of_kraus(k: KrausSet, in_dim: int) -> ChoiMap:
@@ -254,12 +250,7 @@ def coefficient_matrix(m: ChoiMap) -> np.ndarray:
     n = d.bit_length() - 1
     if 2**n != d or m.out_dim != d:
         raise BadParameter("coefficient extraction needs a square qubit algebra")
-    plus = states.max_symmetric_vector(d)
-    vecs = []
-    for w in states.words(n):
-        op = linalg.tensor(np.eye(d), pauli.word_matrix(w))
-        vecs.append(op @ plus)
-    B = np.array(vecs)  # rows are <Psi_w|
+    B = states._basis_vectors(n)  # rows are <Psi_w|
     return B.conj() @ m.choi @ B.T
 
 

@@ -1,6 +1,6 @@
 # src/latticewitness/states.py
-"""Constructors for the concrete states used throughout the package,
-plus state functionals (entropy, Schmidt decomposition).
+"""State constructors and functionals (entropy, Schmidt decomposition);
+every sigma-diagonal matrix sum_w c_w P_w is summed by `_projector_sum`.
 
 Conventions fixed here:
   * the maximally entangled vector carries a 1/sqrt(d) prefactor, so the
@@ -86,18 +86,28 @@ def word_flat_index(w) -> int:
 _basis_cache: dict = {}
 
 
+def _basis_vectors(n: int) -> np.ndarray:
+    """Rows (1 x sigma_w)|max symmetric> for the 4^n words in flat-index order."""
+    d = 2**n
+    plus = max_symmetric_vector(d)
+    return np.array([linalg.tensor(np.eye(d), pauli.word_matrix(w)) @ plus for w in words(n)])
+
+
 def _basis_projectors(n: int) -> np.ndarray:
     """Array of the 4^n rank-1 projectors (1 x sigma_w) P+ (1 x sigma_w)."""
+    if n > 2:  # checked before allocating (4^n)^3 entries, 16 GiB at n = 5
+        raise pauli.TooLarge("basis projectors are materialized for n <= 2 only")
     if n not in _basis_cache:
-        d = 2**n
-        plus = max_symmetric_vector(d)
-        projs = np.empty((4**n, d * d, d * d), dtype=complex)
-        for w in words(n):
-            op = linalg.tensor(np.eye(d), pauli.word_matrix(w))
-            vec = op @ plus
-            projs[word_flat_index(w)] = np.outer(vec, vec.conj())
-        _basis_cache[n] = projs
+        B = _basis_vectors(n)
+        _basis_cache[n] = B[:, :, None] * B.conj()[:, None, :]
     return _basis_cache[n]
+
+
+def _projector_sum(coeffs, n: int) -> np.ndarray:
+    """sum_w coeffs[w] P_w, summed without BLAS: tensordot wakes OpenBLAS
+    helper threads that keep spinning after the call, which doubled the
+    process CPU of the see-saw and of certificate checks."""
+    return (coeffs[:, None, None] * _basis_projectors(n)).sum(axis=0)
 
 
 def basis_projector(w) -> DensityMatrix:
@@ -114,9 +124,7 @@ def sigma_diagonal_state(n: int, weights) -> DensityMatrix:
         raise BadWeights(f"expected {4**n} weights, got shape {r.shape}")
     if np.any(r < -1e-12) or abs(r.sum() - 1.0) > 1e-12:
         raise BadWeights("weights must be nonnegative and sum to 1")
-    mat = np.tensordot(r, _basis_projectors(n), axes=1)
-    d = 2**n
-    return DensityMatrix(mat, (d, d))
+    return DensityMatrix(_projector_sum(r, n), (2**n, 2**n))
 
 
 def mask_points(mask: int) -> list:
@@ -146,9 +154,7 @@ def lattice_state(subset) -> DensityMatrix:
     n = ind.sum()
     if not n:
         raise EmptySubset("lattice subset is empty")
-    # summed without BLAS: tensordot's BLAS threads keep spinning after
-    # each call, which doubled the process CPU of certificate checks
-    return DensityMatrix(_basis_projectors(2)[ind > 0].sum(axis=0) / n, (4, 4))
+    return DensityMatrix(_projector_sum(ind, 2) / n, (4, 4))
 
 
 _BELL = {

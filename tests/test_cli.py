@@ -141,6 +141,11 @@ def test_negative_seed_is_a_bad_parameter(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: bad parameter: seed must be nonnegative\n"
+    # the seed is rejected without --witness too, where no see-saw runs
+    assert cli.main(["classify", "--mask", "0x000f", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad parameter: seed must be nonnegative\n"
 
 
 def test_verify_thesis_exit_and_rows(capsys):

@@ -1,6 +1,8 @@
 """Numeric detectors, witness construction, and the exact witness delta."""
 
 import itertools
+import os
+import time
 
 import numpy as np
 import pytest
@@ -280,6 +282,23 @@ def test_max_delta_raises_when_the_seesaw_beats_it(monkeypatch):
     with pytest.raises(criteria.DeltaViolated):
         criteria.max_delta(0x1EEF, (0, 0), seed=7, restarts=3)
     assert seen == [(0x1EEF, (0, 0), 1.0, 3, 7)]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="no second CPU for a helper thread")
+def test_witness_path_runs_on_the_calling_thread_only():
+    # a BLAS call on the witness path wakes helper threads that keep
+    # spinning through the see-saw; then process CPU is about twice the
+    # calling thread's CPU.  The idle lets threads woken by earlier
+    # tests go back to sleep.
+    time.sleep(0.5)
+    w = np.full(16, 1 / 16)
+    proc, thread = time.process_time(), time.thread_time()
+    for _ in range(10):
+        criteria.max_delta(0xF587, (3, 3))
+    for _ in range(50):
+        states.sigma_diagonal_state(2, w)
+    proc, thread = time.process_time() - proc, time.thread_time() - thread
+    assert proc / thread <= 1.3
 
 
 def test_edge_witness_detects_its_source_state():

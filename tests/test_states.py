@@ -4,7 +4,7 @@ reference states, and spectral helpers."""
 import numpy as np
 import pytest
 
-from latticewitness import linalg, pauli, states
+from latticewitness import linalg, maps, pauli, states
 
 
 def test_basis_projectors_are_orthonormal_rank_one():
@@ -62,6 +62,32 @@ def test_lattice_indicator_and_state_match_the_projector_sum():
         for alpha, beta in points:
             ref += states.basis_projector((alpha, beta)).mat
         assert np.array_equal(states.lattice_state(mask).mat, ref / len(points))
+
+
+def test_projector_sum_matches_the_tensordot_reference():
+    # every sigma-diagonal builder sums sum_w c_w P_w without BLAS; the
+    # reference is the BLAS contraction it replaced
+    rng = np.random.default_rng(7)
+    for n in (1, 2):
+        for _ in range(20):
+            c = rng.normal(size=4**n)
+            ref = np.tensordot(c, states._basis_projectors(n), axes=1)
+            got = maps.choi_of_diag(maps.SigmaDiagMap(n, c)).choi
+            assert np.max(np.abs(got - ref)) <= 1e-15
+    for _ in range(20):
+        w = rng.random(16)
+        w /= w.sum()
+        ref = np.tensordot(w, states._basis_projectors(2), axes=1)
+        assert np.max(np.abs(states.sigma_diagonal_state(2, w).mat - ref)) <= 1e-15
+
+
+def test_basis_projectors_refuse_three_qubits_before_allocating():
+    with pytest.raises(pauli.TooLarge):
+        states.basis_projector((0, 0, 0))
+    with pytest.raises(pauli.TooLarge):
+        states.sigma_diagonal_state(3, np.full(64, 1 / 64))
+    with pytest.raises(pauli.TooLarge):
+        maps.choi_of_diag(maps.trace_map(3))
 
 
 def test_mask_points_round_trip():
