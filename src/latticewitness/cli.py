@@ -44,12 +44,13 @@ def parse_pattern(text: str) -> int:
     return mask
 
 
+# Grid line of each 4-bit row value, alpha = 0..3 left to right.
+_ROW_TEXT = [" ".join("x" if r >> alpha & 1 else "." for alpha in range(4)) for r in range(16)]
+
+
 def render_pattern(mask: int) -> str:
     """Inverse of parse_pattern: 4 lines, top line beta=3."""
-    rows = []
-    for beta in range(3, -1, -1):
-        rows.append(" ".join("x" if mask >> (4 * beta + alpha) & 1 else "." for alpha in range(4)))
-    return "\n".join(rows)
+    return "\n".join(_ROW_TEXT[mask >> 4 * beta & 0xF] for beta in range(3, -1, -1))
 
 
 def _parse_mask(text: str) -> int:
@@ -147,35 +148,34 @@ def cmd_classify(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    records = lattice.survey_all(cross_validate=args.cross_validate)
-    if args.cross_validate:
-        bad = [r for r in records if r.cross_check_ok is False]
-        if bad:
-            print(f"cross-validation mismatch on {len(bad)} masks, "
-                  f"first {bad[0].mask:#06x}", file=sys.stderr)
-            return 3
-    rows = [report_record(r) for r in records]
+    """Write each report row as soon as its mask is classified; a
+    cross-validation mismatch is reported once the whole report is written."""
+    counts = {}
+    bad = []
     try:
         with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
             if args.format == "csv":
-                writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
-                writer.writeheader()
-                for row in rows:
-                    row = dict(row)
+                writer.writerow(REPORT_FIELDS)
+            for rec in lattice.survey(cross_validate=args.cross_validate):
+                row = report_record(rec)
+                if args.format == "csv":
                     for key in ("special_point", "one_point", "k_pair", "certificate"):
                         if row[key] is not None:
                             row[key] = json.dumps(row[key])
-                    writer.writerow(row)
-            else:
-                for row in rows:
+                    writer.writerow([row[key] for key in REPORT_FIELDS])
+                else:
                     fh.write(json.dumps(row) + "\n")
+                counts[rec.classification.tag] = counts.get(rec.classification.tag, 0) + 1
+                if rec.cross_check_ok is False:
+                    bad.append(rec.mask)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 4
-    counts = {}
-    for r in records:
-        counts[r.classification.tag] = counts.get(r.classification.tag, 0) + 1
-    print(f"records: {len(records)}")
+    if bad:
+        print(f"cross-validation mismatch on {len(bad)} masks, first {bad[0]:#06x}", file=sys.stderr)
+        return 3
+    print(f"records: {sum(counts.values())}")
     for tag in sorted(counts):
         print(f"  {tag}: {counts[tag]}")
     return 0

@@ -13,19 +13,20 @@ The minimum partial-transpose eigenvalue of an NPT subset is the closed
 form (N - 2c)/(4N), c the largest cross count; `pt_min_eig` computes it
 with numpy.linalg as an independent oracle for cross-validation only.
 A lattice translation tau_t XORs each point's bit index with that of t.
-`survey_all` is one loop over `classify` in one process, so a mask gets
+`survey` is one loop over `classify` in one process, so a mask gets
 the same certificate from either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import criteria, linalg, states
 from .criteria import NotPpt
-from .states import EmptySubset
+from .states import EmptySubset, check_mask  # EmptySubset is re-exported
 
 
 class BadCovering(ValueError):
@@ -40,14 +41,18 @@ def point_bit(p) -> int:
 
 
 def popcount(mask: int) -> int:
-    return bin(mask & 0xFFFF).count("1")
+    return (mask & 0xFFFF).bit_count()
 
 
 def translate_mask(t, mask: int) -> int:
     """Image of a subset mask under the lattice translation tau_t, which
-    moves bit i to bit i ^ point_bit(t) (Pauli product indices XOR)."""
+    moves bit i to bit i ^ point_bit(t) (Pauli product indices XOR): one
+    swap of adjacent k-bit blocks per set bit k of point_bit(t)."""
     s = point_bit(t)
-    return sum(1 << (b ^ s) for b in range(16) if mask >> b & 1)
+    for k, lo in ((1, 0x5555), (2, 0x3333), (4, 0x0F0F), (8, 0x00FF)):
+        if s & k:
+            mask = (mask & lo) << k | (mask >> k) & lo
+    return mask
 
 
 # The 15 special quadruples through (0,0): each is {(0,0)} plus a
@@ -84,6 +89,7 @@ def _build_all_quadruples():
 ALL_QUADRUPLES = _build_all_quadruples()
 QUAD_MASKS = [states.points_mask(q) for q in ALL_QUADRUPLES]
 _QUADRUPLE = dict(zip(QUAD_MASKS, ALL_QUADRUPLES))  # mask -> point tuple
+_QUAD_MASK = dict(zip(ALL_QUADRUPLES, QUAD_MASKS))  # point tuple -> mask
 
 
 def all_quadruples() -> list:
@@ -95,21 +101,22 @@ def is_special(points) -> bool:
     return states.points_mask(points) in _QUADRUPLE
 
 
-def _cross_counts(I: int) -> list:
-    """Per bit 4*beta + alpha: the points of I on the row plus column
-    through (alpha, beta), the point itself excluded."""
-    rows = [popcount(I >> (4 * b) & 0xF) for b in range(4)]
-    cols = [popcount(I >> a & 0x1111) for a in range(4)]
-    return [rows[b >> 2] + cols[b & 3] - 2 * (I >> b & 1) for b in range(16)]
+# Per bit 4*beta + alpha: the row plus column through (alpha, beta), the
+# point itself excluded.
+_CROSS = [(0xF << (b & 12) | 0x1111 << (b & 3)) & ~(1 << b) for b in range(16)]
+
+
+@lru_cache(maxsize=1)  # the criteria of one mask share one table
+def _cross_counts(I: int) -> tuple:
+    """Per bit: the points of I on the cross `_CROSS` of that bit."""
+    return tuple([(I & m).bit_count() for m in _CROSS])
 
 
 def ppt_combinatorial(I: int) -> bool:
     """Exact PPT test: every lattice point sees at most N_I/2 subset
     points on its row plus column (the point itself excluded)."""
-    n = popcount(I)
-    if n == 0:
-        raise EmptySubset("empty lattice subset")
-    return 2 * max(_cross_counts(I)) <= n
+    check_mask(I)
+    return 2 * max(_cross_counts(I)) <= I.bit_count()
 
 
 def entangled_one_point(I: int):
@@ -150,8 +157,7 @@ def special_subset_point(I: int):
 
     Presence makes I a special subset: its lattice state is entangled.
     """
-    if popcount(I) == 0:
-        raise EmptySubset("empty lattice subset")
+    check_mask(I)
     covered = 0
     for q in QUAD_MASKS:
         if q & I == q:
@@ -245,9 +251,7 @@ def uniform_covering(I: int):
     """Minimal-multiplicity uniform covering of I by special quadruples
     inside I, searched for M = 1..MAX_MULTIPLICITY; None if none exists
     in that range."""
-    n = popcount(I)
-    if n == 0:
-        raise EmptySubset("empty lattice subset")
+    n = check_mask(I).bit_count()
     if n < 4:
         return None
     quads = [q for q in QUAD_MASKS if q & I == q]
@@ -275,12 +279,12 @@ def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     """Check that the covering's convex mixture of quadruple states
     reproduces the lattice state of I.  Every item must be one of the
     special quadruple tuples of `all_quadruples()`."""
-    n = popcount(I)
+    n = check_mask(I).bit_count()
     counts = [0] * 16
     for q, w in covering.items:
-        if tuple(q) not in _QUADRUPLE.values():
+        if tuple(q) not in _QUAD_MASK:
             raise BadCovering(f"{q} is not a special quadruple")
-        if any(not I >> point_bit(p) & 1 for p in q):
+        if _QUAD_MASK[tuple(q)] & ~I:
             raise BadCovering("covering quadruple leaves the subset")
         for p in q:
             counts[point_bit(p)] += w
@@ -333,9 +337,7 @@ def classify(I: int, witness: bool = False, seed: int = 0xC0FFEE, *, memo: dict 
     (canonical mask -> covering) caches that search across calls; the
     result is the same with or without it.
     """
-    n = popcount(I)
-    if n == 0:
-        raise EmptySubset("empty lattice subset")
+    n = check_mask(I).bit_count()
     if not ppt_combinatorial(I):
         c = max(_cross_counts(I))
         return Classification("NptEntangled", ["npt"], min_pt_eig=(n - 2 * c) / (4 * n))
@@ -363,6 +365,7 @@ def classify(I: int, witness: bool = False, seed: int = 0xC0FFEE, *, memo: dict 
 def canonical_mask(I: int):
     """Least translate of I, with the first translation (in ALL_POINTS
     order) that gives it."""
+    check_mask(I)
     imgs = [translate_mask(t, I) for t in ALL_POINTS]
     i = imgs.index(min(imgs))
     return imgs[i], ALL_POINTS[i]
@@ -370,7 +373,7 @@ def canonical_mask(I: int):
 
 def translate_covering(t, cov: Covering) -> Covering:
     # the images are looked up in _QUADRUPLE so coverings share its tuples
-    items = [(_QUADRUPLE[translate_mask(t, states.points_mask(q))], w) for q, w in cov.items]
+    items = [(_QUADRUPLE[translate_mask(t, _QUAD_MASK[q])], w) for q, w in cov.items]
     return Covering(items, cov.multiplicity)
 
 
@@ -382,9 +385,11 @@ class SurveyRecord:
     cross_check_ok: bool = None  # combinatorial PPT and exact min PT eigenvalue vs numpy.linalg
 
 
-def _survey_range(masks, cross_validate):
+def survey(masks=range(1, 1 << 16), cross_validate: bool = False):
+    """Yield a record per mask, in the order given (by default every
+    nonempty subset), classifying in one process with one shared
+    covering memo."""
     memo = {}
-    out = []
     for I in masks:
         cls = classify(I, memo=memo)
         rec = SurveyRecord(I, popcount(I), cls)
@@ -393,12 +398,10 @@ def _survey_range(masks, cross_validate):
             rec.cross_check_ok = ppt_combinatorial(I) == (numeric >= -1e-9) and (
                 cls.min_pt_eig is None or abs(cls.min_pt_eig - numeric) < 1e-12
             )
-        out.append(rec)
-    return out
+        yield rec
 
 
 def survey_all(cross_validate: bool = False, *, workers: int = 1):
-    """Classify every nonempty subset in one process, sharing one
-    covering memo; returns records in mask order.  `workers` is accepted
-    for compatibility and ignored."""
-    return _survey_range(range(1, 1 << 16), cross_validate)
+    """The records of `survey` over every nonempty subset, as a list in
+    mask order.  `workers` is accepted for compatibility and ignored."""
+    return list(survey(cross_validate=cross_validate))

@@ -139,6 +139,16 @@ def points_mask(points) -> int:
     return mask
 
 
+def check_mask(mask: int) -> int:
+    """Return `mask` if it is a nonempty 16-bit lattice subset; raise
+    EmptySubset for 0 and OutOfRange outside 0x0001..0xffff."""
+    if not 0 < mask <= 0xFFFF:
+        if mask == 0:
+            raise EmptySubset("empty lattice subset")
+        raise OutOfRange(f"subset mask {mask:#x} outside 0x0001..0xffff")
+    return mask
+
+
 def lattice_indicator(mask: int) -> np.ndarray:
     """0/1 vector over the 16 two-qubit words in flat-index order: entry
     4*alpha + beta is 1 iff point (alpha, beta) lies in the mask."""
@@ -150,11 +160,8 @@ def lattice_state(subset) -> DensityMatrix:
 
     `subset` is a 16-bit mask or an iterable of (alpha, beta) points.
     """
-    ind = lattice_indicator(subset if isinstance(subset, int) else points_mask(subset))
-    n = ind.sum()
-    if not n:
-        raise EmptySubset("lattice subset is empty")
-    return DensityMatrix(_projector_sum(ind, 2) / n, (4, 4))
+    ind = lattice_indicator(check_mask(subset if isinstance(subset, int) else points_mask(subset)))
+    return DensityMatrix(_projector_sum(ind, 2) / ind.sum(), (4, 4))
 
 
 _BELL = {

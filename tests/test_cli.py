@@ -1,6 +1,7 @@
 """CLI behavior: pattern round trips, exit codes, report schema."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -159,6 +160,12 @@ def test_verify_thesis_exit_and_rows(capsys):
     assert len(lines) == len(cli.WORKED_EXAMPLES) + 3  # plus the named-state rows
 
 
+# sha256 of the full survey reports; any change to a row, a field's
+# formatting or the row order shows here
+SURVEY_CSV_SHA256 = "003ddaa338b2bac55bebf5e22d1e412c766c67612375c576164f05de7f633d93"
+SURVEY_JSONL_SHA256 = "c93c2e1a80174f920041e86781ba34cd895c709b0221cd225e388eed2e11fda2"
+
+
 def test_survey_csv(tmp_path, capsys):
     out_path = tmp_path / "survey.csv"
     assert cli.main(["survey", "--out", str(out_path), "--workers", "4"]) == 0
@@ -183,6 +190,41 @@ def test_survey_csv(tmp_path, capsys):
             m = json.loads(row["certificate"])["multiplicity"]
             mult[m] = mult.get(m, 0) + 1
     assert mult == {1: 511, 2: 6528, 4: 1696}
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SURVEY_CSV_SHA256
+
+
+def test_survey_jsonl(tmp_path, capsys):
+    out_path = tmp_path / "survey.jsonl"
+    assert cli.main(["survey", "--out", str(out_path), "--format", "jsonl"]) == 0
+    assert "records: 65535" in capsys.readouterr().out
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SURVEY_JSONL_SHA256
+
+
+def test_survey_cross_validation_mismatch_exits_3_after_the_report(tmp_path, capsys, monkeypatch):
+    def survey(cross_validate):
+        assert cross_validate
+        for mask in (0x0001, 0x000F, 0x0033):
+            rec = lattice.SurveyRecord(mask, lattice.popcount(mask), lattice.classify(mask))
+            rec.cross_check_ok = mask != 0x000F
+            yield rec
+
+    monkeypatch.setattr(lattice, "survey", survey)
+    out_path = tmp_path / "survey.jsonl"
+    assert cli.main(["survey", "--out", str(out_path), "--format", "jsonl", "--cross-validate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cross-validation mismatch on 1 masks, first 0x000f\n"
+    rows = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [row["numeric_cross_check"] for row in rows] == [True, False, True]
+
+
+def test_survey_unwritable_output_exits_4(tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "missing" / "x.csv"):
+        assert cli.main(["survey", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
 
 
 def test_example_masks_resolve():

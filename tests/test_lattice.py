@@ -173,6 +173,47 @@ def test_certificate_rejects_items_that_are_not_special_quadruples():
             lattice.separability_certificate(mask, lattice.Covering(items, 1))
 
 
+def test_masks_outside_the_lattice_are_out_of_range():
+    # -1 used to index past the point list, 0x1000F was read as 0x000F,
+    # and lattice_state(-1) built the full-lattice state
+    cov = lattice.uniform_covering(0x000F)
+    entry_points = [
+        lattice.classify, lattice.ppt_combinatorial, lattice.special_subset_point,
+        lattice.entangled_one_point, lattice.k_criterion, lattice.uniform_covering, lattice.canonical_mask,
+        lambda m: lattice.separability_certificate(m, cov), states.lattice_state,
+    ]
+    for mask in (-1, 0x10000, 0x1000F):
+        for fn in entry_points:
+            with pytest.raises(states.OutOfRange, match="outside 0x0001..0xffff"):
+                fn(mask)
+
+
+def test_bit_helpers_match_their_definitions():
+    for mask in range(1 << 16):
+        assert lattice.popcount(mask) == bin(mask).count("1")
+    for t in lattice.ALL_POINTS:
+        s = lattice.point_bit(t)
+        for mask in range(1, 1 << 16):
+            assert lattice.translate_mask(t, mask) == sum(1 << (b ^ s) for b in range(16) if mask >> b & 1)
+
+
+def test_cross_counts_match_a_recount_from_points():
+    # the table is cached for the last mask asked, so masks are asked in
+    # alternation: a stale entry would be returned for the wrong mask
+    def recount(I):
+        pts = states.mask_points(I)
+        return tuple(sum((a == alpha) + (b == beta) for a, b in pts) - 2 * ((alpha, beta) in pts)
+                     for alpha, beta in lattice.ALL_POINTS)
+
+    prev, ref_prev = 0xFFFF, recount(0xFFFF)
+    for I in range(1, 1 << 16):
+        ref = recount(I)
+        assert lattice._cross_counts(I) == ref
+        assert lattice._cross_counts(prev) == ref_prev
+        assert lattice._cross_counts(I) == ref
+        prev, ref_prev = I, ref
+
+
 def test_translation_covariance():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -226,6 +267,6 @@ def test_survey_sample_matches_classify():
     # masks whose direct covering search differs from the translated
     # covering of their canonical mask
     masks = list(range(1, 200)) + [0x0BFF, 0x0DFF, 0x0EFF]
-    for rec in lattice._survey_range(masks, True):
+    for rec in lattice.survey(masks, True):
         assert rec.classification == lattice.classify(rec.mask)
         assert rec.cross_check_ok
