@@ -1,12 +1,16 @@
 """Command-line surface: classify lattice subsets, survey all of them,
 verify the worked examples, and run the numeric detectors on named states.
 
+JSON output (`lw classify --json`, `lw survey --format jsonl`) is
+`report_record` through `json.dumps`.  A CSV survey row holds the same
+cells, built from small text tables of the JSON of every point and
+covering item, exactly as csv.writer would write that record.
+
 Exit codes: 0 success, 2 parse/usage error, 3 verification failure,
 4 I/O error.
 """
 
 import argparse
-import csv
 import json
 import sys
 
@@ -72,6 +76,13 @@ def _covering_json(cov):
     }
 
 
+# JSON text of each point, and of each covering item with its weight
+# left to format in; k_pair values are points too.
+_POINT_JSON = {p: json.dumps(list(p)) for p in lattice.ALL_POINTS}
+_ITEM_JSON = {q: '{"points": %s, "weight": %%d}' % json.dumps([list(p) for p in q])
+              for q in lattice.ALL_QUADRUPLES}
+
+
 REPORT_FIELDS = [
     "mask", "n_points", "pattern", "tag", "criteria_fired", "special_point",
     "one_point", "k_pair", "min_pt_eig", "certificate", "witness_delta",
@@ -96,6 +107,38 @@ def report_record(rec: lattice.SurveyRecord) -> dict:
         "witness_delta": cls.witness_delta,
         "numeric_cross_check": rec.cross_check_ok,
     }
+
+
+def _scalar_cell(x) -> str:
+    # csv.writer writes None as an empty cell and a float by its repr
+    return "" if x is None else repr(x)
+
+
+def _point_cell(p) -> str:
+    return "" if p is None else f'"{_POINT_JSON[p]}"'
+
+
+def _csv_row(rec: lattice.SurveyRecord) -> str:
+    """The CSV line of `report_record(rec)`, cells in REPORT_FIELDS
+    order, quoted where csv.writer quotes: only the point cells, the
+    certificate and a multi-criterion criteria_fired hold a comma, and
+    only the certificate a quote."""
+    cls = rec.classification
+    mask = rec.mask
+    fired = ",".join(cls.criteria_fired)
+    cov = cls.covering
+    if cov is None:
+        cert = ""
+    else:
+        items = ", ".join([_ITEM_JSON[q] % w for q, w in cov.items])
+        cert = '"{""multiplicity"": %d, ""quadruples"": [%s]}"' % (cov.multiplicity, items.replace('"', '""'))
+    return ",".join([
+        f"{mask:#06x}", str(rec.n_points),
+        f"{_ROW_TEXT[mask >> 12]}/{_ROW_TEXT[mask >> 8 & 0xF]}/{_ROW_TEXT[mask >> 4 & 0xF]}/{_ROW_TEXT[mask & 0xF]}",
+        cls.tag, f'"{fired}"' if "," in fired else fired,
+        _point_cell(cls.special_point), _point_cell(cls.one_point), _point_cell(cls.k_pair),
+        _scalar_cell(cls.min_pt_eig), cert, _scalar_cell(cls.witness_delta), _scalar_cell(rec.cross_check_ok),
+    ]) + "\r\n"
 
 
 def cmd_classify(args) -> int:
@@ -154,18 +197,13 @@ def cmd_survey(args) -> int:
     bad = []
     try:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
             if args.format == "csv":
-                writer.writerow(REPORT_FIELDS)
+                fh.write(",".join(REPORT_FIELDS) + "\r\n")
             for rec in lattice.survey(cross_validate=args.cross_validate):
-                row = report_record(rec)
                 if args.format == "csv":
-                    for key in ("special_point", "one_point", "k_pair", "certificate"):
-                        if row[key] is not None:
-                            row[key] = json.dumps(row[key])
-                    writer.writerow([row[key] for key in REPORT_FIELDS])
+                    fh.write(_csv_row(rec))
                 else:
-                    fh.write(json.dumps(row) + "\n")
+                    fh.write(json.dumps(report_record(rec)) + "\n")
                 counts[rec.classification.tag] = counts.get(rec.classification.tag, 0) + 1
                 if rec.cross_check_ok is False:
                     bad.append(rec.mask)

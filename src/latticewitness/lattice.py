@@ -40,16 +40,28 @@ def point_bit(p) -> int:
     return 4 * p[1] + p[0]
 
 
+def _check_bits(mask: int) -> None:
+    if not 0 <= mask <= 0xFFFF:
+        raise states.OutOfRange(f"mask {mask:#x} outside 0x0000..0xffff")
+
+
 def popcount(mask: int) -> int:
-    return (mask & 0xFFFF).bit_count()
+    _check_bits(mask)
+    return mask.bit_count()
+
+
+# Per bit k of a point index: the swap of adjacent k-bit blocks, as
+# (k, mask of the low block of each pair).
+_BLOCK_SWAPS = ((1, 0x5555), (2, 0x3333), (4, 0x0F0F), (8, 0x00FF))
 
 
 def translate_mask(t, mask: int) -> int:
     """Image of a subset mask under the lattice translation tau_t, which
     moves bit i to bit i ^ point_bit(t) (Pauli product indices XOR): one
     swap of adjacent k-bit blocks per set bit k of point_bit(t)."""
+    _check_bits(mask)
     s = point_bit(t)
-    for k, lo in ((1, 0x5555), (2, 0x3333), (4, 0x0F0F), (8, 0x00FF)):
+    for k, lo in _BLOCK_SWAPS:
         if s & k:
             mask = (mask & lo) << k | (mask >> k) & lo
     return mask
@@ -340,7 +352,7 @@ def classify(I: int, witness: bool = False, seed: int = 0xC0FFEE, *, memo: dict 
     n = check_mask(I).bit_count()
     if not ppt_combinatorial(I):
         c = max(_cross_counts(I))
-        return Classification("NptEntangled", ["npt"], min_pt_eig=(n - 2 * c) / (4 * n))
+        return Classification("NptEntangled", ["npt"], None, None, None, (n - 2 * c) / (4 * n))
     sp = special_subset_point(I)
     op = entangled_one_point(I)
     kc = k_criterion(I)
@@ -366,7 +378,11 @@ def canonical_mask(I: int):
     """Least translate of I, with the first translation (in ALL_POINTS
     order) that gives it."""
     check_mask(I)
-    imgs = [translate_mask(t, I) for t in ALL_POINTS]
+    # each block swap doubles the list, so image s is the translate by
+    # ALL_POINTS[s]: swap k was applied to it iff bit k of s is set
+    imgs = [I]
+    for k, lo in _BLOCK_SWAPS:
+        imgs += [(m & lo) << k | (m >> k) & lo for m in imgs]
     i = imgs.index(min(imgs))
     return imgs[i], ALL_POINTS[i]
 

@@ -10,6 +10,8 @@ i = i1*d2 + i2.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -37,8 +39,10 @@ def is_hermitian(M: np.ndarray, tol: float = 1e-10) -> bool:
     return float(np.max(np.abs(M - M.conj().T))) <= tol
 
 
+@lru_cache(maxsize=None)  # one schedule per matrix dimension
 def _round_robin_pairs(n: int):
-    """Pairings of 0..n-1 so each sweep visits every pair exactly once.
+    """Pairings of 0..n-1 so each sweep visits every pair exactly once,
+    as read-only index arrays shared by every call.
 
     Circle method: one slot fixed, the rest rotate; within a round the
     pairs are disjoint, so their rotations commute and can be applied in
@@ -53,9 +57,12 @@ def _round_robin_pairs(n: int):
             a, b = circle[i], circle[m - 1 - i]
             if a < n and b < n:
                 pairs.append((min(a, b), max(a, b)))
-        rounds.append((np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])))
+        ps, qs = np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
+        ps.setflags(write=False)
+        qs.setflags(write=False)
+        rounds.append((ps, qs))
         circle = [circle[0]] + [circle[-1]] + circle[1:-1]
-    return rounds
+    return tuple(rounds)
 
 
 def _jacobi_rounds(A, V, skip, target):

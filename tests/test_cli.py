@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -191,6 +192,33 @@ def test_survey_csv(tmp_path, capsys):
             mult[m] = mult.get(m, 0) + 1
     assert mult == {1: 511, 2: 6528, 4: 1696}
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SURVEY_CSV_SHA256
+
+
+def test_text_tables_hold_the_json_of_their_values():
+    assert len(cli._POINT_JSON) == 16
+    for p, text in cli._POINT_JSON.items():
+        assert text == json.dumps(list(p))
+    assert len(cli._ITEM_JSON) == 60
+    for q, text in cli._ITEM_JSON.items():
+        for w in range(1, lattice.MAX_MULTIPLICITY + 1):
+            assert text % w == json.dumps({"points": [list(p) for p in q], "weight": w})
+
+
+def test_csv_row_is_what_csv_writer_writes():
+    # the first survey mask of each tag, criteria list and multiplicity,
+    # with a witness delta and each cross-check value, which the survey
+    # report hashes do not all reach
+    for mask in (0x0001, 0x0033, 0x0077, 0x0777, 0x0359, 0x12CF):
+        for witness in (False, True):
+            for check in (None, True, False):
+                rec = lattice.SurveyRecord(mask, lattice.popcount(mask), lattice.classify(mask, witness=witness))
+                rec.cross_check_ok = check
+                row = cli.report_record(rec)
+                cells = [json.dumps(row[key]) if key in ("special_point", "one_point", "k_pair", "certificate")
+                         and row[key] is not None else row[key] for key in cli.REPORT_FIELDS]
+                buf = io.StringIO()
+                csv.writer(buf).writerow(cells)
+                assert cli._csv_row(rec) == buf.getvalue()
 
 
 def test_survey_jsonl(tmp_path, capsys):

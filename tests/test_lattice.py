@@ -186,6 +186,12 @@ def test_masks_outside_the_lattice_are_out_of_range():
         for fn in entry_points:
             with pytest.raises(states.OutOfRange, match="outside 0x0001..0xffff"):
                 fn(mask)
+        # the bit helpers also take the empty mask
+        for fn in (lattice.popcount, lambda m: lattice.translate_mask((1, 0), m)):
+            with pytest.raises(states.OutOfRange, match="outside 0x0000..0xffff"):
+                fn(mask)
+    assert lattice.popcount(0) == 0
+    assert lattice.translate_mask((1, 0), 0) == 0
 
 
 def test_bit_helpers_match_their_definitions():
@@ -227,12 +233,29 @@ def test_translation_covariance():
 
 
 def test_canonical_mask():
-    rng = np.random.default_rng(13)
-    for _ in range(30):
-        mask = int(rng.integers(1, 1 << 16))
-        canon, t = lattice.canonical_mask(mask)
-        assert lattice.translate_mask(t, mask) == canon
-        assert all(lattice.translate_mask(s, mask) >= canon for s in lattice.ALL_POINTS)
+    # reference: the first least of the 16 translates, in ALL_POINTS order
+    for mask in range(1, 1 << 16):
+        imgs = [lattice.translate_mask(t, mask) for t in lattice.ALL_POINTS]
+        i = imgs.index(min(imgs))
+        assert lattice.canonical_mask(mask) == (imgs[i], lattice.ALL_POINTS[i])
+
+
+def test_survey_runs_every_covering_search_afresh(monkeypatch):
+    # `lw survey` is timed by calling it repeatedly in one process: a
+    # covering cache that outlived one survey would read as a speed-up
+    searches = []
+    search = lattice.uniform_covering
+
+    def counting(I):
+        searches.append(I)
+        return search(I)
+
+    monkeypatch.setattr(lattice, "uniform_covering", counting)
+    for _ in range(2):
+        searches.clear()
+        for _rec in lattice.survey():
+            pass
+        assert len(searches) == len(set(searches)) == 680
 
 
 def test_classify_consistency_invariants():
