@@ -16,9 +16,7 @@ import sys
 
 import numpy as np
 
-from . import criteria, lattice, maps, states
-
-DEFAULT_SEED = 0xC0FFEE
+from . import criteria, lattice, states
 
 OCCUPIED = {"x", "X", "×"}
 EMPTY = {"."}
@@ -142,8 +140,6 @@ def _csv_row(rec: lattice.SurveyRecord) -> str:
 
 
 def cmd_classify(args) -> int:
-    if args.seed < 0:
-        raise maps.BadParameter("seed must be nonnegative")
     if args.pattern:
         try:
             with open(args.pattern, encoding="utf-8") as fh:
@@ -158,12 +154,12 @@ def cmd_classify(args) -> int:
             raise ParseError(f"{args.pattern}: the grid has no occupied point")
     else:
         mask = _parse_mask(args.mask)
-    cls = lattice.classify(mask, witness=args.witness, seed=args.seed)
+    cls = lattice.classify(mask)
     rec = report_record(lattice.SurveyRecord(mask, lattice.popcount(mask), cls))
     if args.json:
         print(json.dumps(rec))
         return 0
-    print(f"mask: {mask:#06x}   n_points: {lattice.popcount(mask)}   seed: {args.seed:#x}")
+    print(f"mask: {mask:#06x}   n_points: {lattice.popcount(mask)}")
     print(render_pattern(mask))
     print(f"classification: {cls.tag}")
     if cls.criteria_fired:
@@ -183,10 +179,8 @@ def cmd_classify(args) -> int:
         for q, w in cov.items:
             print(f"  weight {w}: {list(q)}")
     if cls.witness_delta is not None:
-        n = lattice.popcount(mask)
         print(f"witness delta (exact): {cls.witness_delta:.6g}")
-        if cls.witness_delta > 0:
-            print(f"witness value on the state: {-cls.witness_delta / (4 * n):.12g}")
+        print(f"witness value on the state: {-cls.witness_delta / (4 * rec['n_points']):.12g}")
     return 0
 
 
@@ -327,6 +321,8 @@ def _build_named_state(args):
         return states.horodecki_2x4(args.b)
     if kind == "upb-even":
         d = args.d
+        if d > 10:  # the state is d^2 x d^2, and linalg is sized for dimension ~100
+            raise states.OutOfRange(f"upb-even needs d <= 10, got {d}")
         return states.upb_complement_state(states.even_d_upb(d), (d, d))
     raise ValueError(kind)
 
@@ -354,11 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--pattern", help="file with a 4x4 grid of x/. tokens")
     src.add_argument("--mask", help="16-bit hex mask, e.g. 0x7bde")
-    p.add_argument("--witness", action="store_true",
-                   help="also compute the exact witness delta for special subsets")
     p.add_argument("--json", action="store_true", help="emit one JSON record")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
-                   help="seed of the see-saw that re-checks the witness delta")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("survey", help="classify all 65535 subsets")
@@ -380,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="phi+", help="bell state kind")
     p.add_argument("--a", type=float, default=0.5, help="horodecki3x3 parameter")
     p.add_argument("--b", type=float, default=0.5, help="horodecki2x4 parameter")
-    p.add_argument("--d", type=int, default=4, help="upb-even local dimension")
+    p.add_argument("--d", type=int, default=4, help="upb-even local dimension (even, 4..10)")
     p.set_defaults(func=cmd_state)
     return parser
 
@@ -392,7 +384,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (states.BadWeights, states.OutOfRange, states.OddDim, maps.BadParameter) as exc:
+    except (states.BadWeights, states.OutOfRange, states.OddDim) as exc:
         print(f"error: bad parameter: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

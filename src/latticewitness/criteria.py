@@ -4,8 +4,8 @@ Numeric detectors (PPT, realignment, reduction) return a uniform verdict
 record; witness constructors produce Hermitian matrices that are
 nonnegative on product vectors (exactly for the diagonal lattice witness
 at delta <= `max_delta`, heuristically for the edge witness).
-`max_delta` is the closed form 4 - max |Q & I| over the special
-quadruples Q through the point.
+`max_delta` is the closed form `lattice.exact_delta` plus one see-saw
+re-check.
 """
 
 from dataclasses import dataclass
@@ -102,6 +102,7 @@ def witness_value(W: Witness, rho: states.DensityMatrix) -> float:
 
 
 def _check_point(I: int, p) -> None:
+    states.check_mask(I)
     if p not in states.mask_points(I):
         raise PointNotInSubset(f"{p} not in subset {I:#06x}")
 
@@ -130,31 +131,19 @@ def delta_violation(I: int, p, delta: float, restarts: int = 64, seed: int = 0xC
     The witness from `diagonal_lattice_witness(I, p, delta)` is block
     positive iff this never exceeds 1; values above 1 are sound
     counterexamples, values at or below 1 are heuristic."""
-    val, psi, phi = maps.seesaw_extremum(
-        _delta_choi(I, p, delta), restarts=restarts, seed=seed, minimize=False
-    )
-    return val, psi, phi
+    _check_point(I, p)
+    return maps.seesaw_extremum(_delta_choi(I, p, delta), restarts=restarts, seed=seed, minimize=False)
 
 
 def max_delta(I: int, p, seed: int = 0xC0FFEE, restarts: int = 64) -> float:
     """Largest delta for which `diagonal_lattice_witness(I, p, delta)` is
-    block positive: delta* = 4 - max |Q & I| over the special quadruples
-    Q through p (0 when such a Q lies inside I, else 1, 2 or 3).
+    block positive: the exact `lattice.exact_delta(I, p)`, re-checked by
+    one see-saw with `restarts` restarts seeded by `seed` (`restarts < 1`
+    raises `maps.BadParameter`); a product vector above 1 + 1e-9 raises
+    `DeltaViolated`."""
+    from .lattice import exact_delta  # lattice imports this module
 
-    Exact: a stabilizer product vector of the maximizing Q gives the
-    delta quantity (|Q & I| + delta)/4, which exceeds 1 for every delta
-    above delta*; at delta* the witness is block positive, by the
-    ovoid identity or by an explicit decomposition (both proved for
-    every point in tests/test_criteria.py).  One see-saw with `restarts`
-    seeded restarts re-checks delta* as an independent numeric
-    cross-check, so `seed` and `restarts` keep their meaning (and
-    `restarts < 1` raises `maps.BadParameter`); a product vector above
-    1 + 1e-9 raises `DeltaViolated`."""
-    from .lattice import QUAD_MASKS, point_bit  # lattice imports this module
-
-    _check_point(I, p)
-    bit = 1 << point_bit(p)
-    delta = 4.0 - max((q & I).bit_count() for q in QUAD_MASKS if q & bit)
+    delta = exact_delta(I, p)
     val, _, _ = delta_violation(I, p, delta, restarts=restarts, seed=seed)
     if val > 1 + 1e-9:
         raise DeltaViolated(f"see-saw value {val!r} > 1 at delta {delta} on {I:#06x}, {p}")

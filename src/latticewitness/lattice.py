@@ -1,7 +1,7 @@
 # src/latticewitness/lattice.py
 """Combinatorics of the 4x4 lattice: subset masks, the geometric
-entanglement criteria, special quadruples, uniform coverings, and the
-end-to-end classifier.
+entanglement criteria, special quadruples and the exact witness
+strength, uniform coverings, and the end-to-end classifier.
 
 A subset I of the lattice is a 16-bit mask with bit 4*beta + alpha set
 for point (alpha, beta).  Inside this module subsets, quadruples and
@@ -102,6 +102,22 @@ ALL_QUADRUPLES = _build_all_quadruples()
 QUAD_MASKS = [states.points_mask(q) for q in ALL_QUADRUPLES]
 _QUADRUPLE = dict(zip(QUAD_MASKS, ALL_QUADRUPLES))  # mask -> point tuple
 _QUAD_MASK = dict(zip(ALL_QUADRUPLES, QUAD_MASKS))  # point tuple -> mask
+
+
+def exact_delta(I: int, p) -> float:
+    """Largest delta for which `criteria.diagonal_lattice_witness(I, p,
+    delta)` is block positive: delta* = 4 - max |Q & I| over the special
+    quadruples Q through the point p of I (0 when such a Q lies inside
+    I, else 1, 2 or 3).
+
+    A stabilizer product vector of the maximizing Q gives the delta
+    quantity (|Q & I| + delta)/4, which exceeds 1 for every delta above
+    delta*; at delta* the witness is block positive, by the ovoid
+    identity or by an explicit decomposition (both proved for every
+    point in tests/test_criteria.py)."""
+    criteria._check_point(I, p)
+    bit = 1 << point_bit(p)
+    return 4.0 - max((q & I).bit_count() for q in QUAD_MASKS if q & bit)
 
 
 def all_quadruples() -> list:
@@ -335,19 +351,20 @@ class Classification:
     k_pair: tuple = None
     min_pt_eig: float = None
     covering: Covering = None
-    witness_delta: float = None
+    witness_delta: float = None  # exact_delta at special_point
 
 
-def classify(I: int, witness: bool = False, seed: int = 0xC0FFEE, *, memo: dict = None) -> Classification:
+def classify(I: int, *, memo: dict = None) -> Classification:
     """Evaluation order: combinatorial PPT, then the entanglement
     criteria (special subset, one-point, k), then covering search.  All
     firing criteria are recorded; the tag follows that precedence.
 
     An NPT subset records the exact minimum partial-transpose eigenvalue
-    (N - 2c)/(4N), c the largest cross count.  The covering is searched
-    on the translation-canonical mask and moved back onto I.  `memo`
-    (canonical mask -> covering) caches that search across calls; the
-    result is the same with or without it.
+    (N - 2c)/(4N), c the largest cross count.  A special subset records
+    the exact witness strength `exact_delta` at its special point.  The
+    covering is searched on the translation-canonical mask and moved
+    back onto I.  `memo` (canonical mask -> covering) caches that search
+    across calls; the result is the same with or without it.
     """
     n = check_mask(I).bit_count()
     if not ppt_combinatorial(I):
@@ -358,10 +375,8 @@ def classify(I: int, witness: bool = False, seed: int = 0xC0FFEE, *, memo: dict 
     kc = k_criterion(I)
     fired = [name for name, hit in (("special_subset", sp), ("one_point", op), ("k_criterion", kc)) if hit is not None]
     if fired:
-        result = Classification("PptEntangled", fired, special_point=sp, one_point=op, k_pair=kc)
-        if witness and sp is not None:
-            result.witness_delta = criteria.max_delta(I, sp, seed=seed)
-        return result
+        delta = None if sp is None else exact_delta(I, sp)
+        return Classification("PptEntangled", fired, sp, op, kc, witness_delta=delta)
     canon, t = canonical_mask(I)
     if memo is None:
         memo = {}

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import latticewitness
-from latticewitness import cli, lattice
+from latticewitness import cli, lattice, maps
 
 
 def test_pattern_round_trip_all_masks():
@@ -62,15 +62,27 @@ def test_classify_human_output(capsys):
     out = capsys.readouterr().out
     assert "classification: Separable" in out
     assert "uniform covering" in out
-    assert f"seed: {cli.DEFAULT_SEED:#x}" in out
+    assert out.startswith(f"mask: {mask:#06x}   n_points: 10\n")
 
 
-def test_classify_witness_flag(capsys):
+def test_classify_witness_flag(capsys, monkeypatch):
+    # the exact delta needs no flag and no see-saw
+    def no_seesaw(*args, **kwargs):
+        raise AssertionError("classify ran a see-saw")
+
+    monkeypatch.setattr(maps, "seesaw_extremum", no_seesaw)
     mask = cli.example_mask("special-10")
-    assert cli.main(["classify", "--mask", f"{mask:#06x}", "--witness", "--json"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--mask", f"{mask:#06x}", "--witness"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["classify", "--mask", f"{mask:#06x}", "--json"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["tag"] == "PptEntangled"
-    assert rec["witness_delta"] > 0
+    assert rec["witness_delta"] == 1.0
+    assert cli.main(["classify", "--mask", f"{mask:#06x}"]) == 0
+    out = capsys.readouterr().out
+    assert "witness delta (exact): 1\n" in out and "witness value on the state: -0.025\n" in out
 
 
 def test_classify_pattern_file(tmp_path, capsys):
@@ -94,6 +106,14 @@ def test_exit_codes(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
     assert cli.main(["state", "--type", "werner", "--alpha", "2.0"]) == 2
     capsys.readouterr()
+    # the upb-even state is d^2 x d^2: d = 10 is the largest accepted
+    assert cli.main(["state", "--type", "upb-even", "--d", "10"]) == 0
+    capsys.readouterr()
+    for d in ("12", "64"):
+        assert cli.main(["state", "--type", "upb-even", "--d", d]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad parameter: upb-even needs d <= 10, got {d}\n"
 
 
 def test_classify_rejects_non_utf8_pattern(tmp_path, capsys):
@@ -124,30 +144,16 @@ def test_state_subcommand(capsys):
     assert "detected=True" in out  # tiles is PPT entangled, realignment fires
 
 
-def test_only_classify_takes_a_seed(capsys):
-    # the seed drives the see-saw re-check of the witness delta; the other
-    # subcommands draw no random numbers
-    for argv in (["verify-thesis", "--seed", "1"], ["state", "--type", "tiles", "--seed", "1"]):
+def test_no_subcommand_takes_a_seed(capsys):
+    # no subcommand draws random numbers
+    for argv in (["verify-thesis", "--seed", "1"], ["state", "--type", "tiles", "--seed", "1"],
+                 ["classify", "--mask", "0x000f", "--seed", "0x5"], ["classify", "--mask", "0x000f", "--seed", "-1"],
+                 ["survey", "--out", "unused.csv", "--seed", "1"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-    mask = cli.example_mask("special-10")
-    assert cli.main(["classify", "--mask", f"{mask:#06x}", "--witness", "--seed", "0x5"]) == 0
-    out = capsys.readouterr().out
-    assert "seed: 0x5" in out and "witness delta (exact): 1\n" in out
-
-
-def test_negative_seed_is_a_bad_parameter(capsys):
-    mask = cli.example_mask("special-10")
-    assert cli.main(["classify", "--mask", f"{mask:#06x}", "--witness", "--seed", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: bad parameter: seed must be nonnegative\n"
-    # the seed is rejected without --witness too, where no see-saw runs
-    assert cli.main(["classify", "--mask", "0x000f", "--seed", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: bad parameter: seed must be nonnegative\n"
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --seed" in captured.err
 
 
 def test_verify_thesis_exit_and_rows(capsys):
@@ -163,11 +169,15 @@ def test_verify_thesis_exit_and_rows(capsys):
 
 # sha256 of the full survey reports; any change to a row, a field's
 # formatting or the row order shows here
-SURVEY_CSV_SHA256 = "003ddaa338b2bac55bebf5e22d1e412c766c67612375c576164f05de7f633d93"
-SURVEY_JSONL_SHA256 = "c93c2e1a80174f920041e86781ba34cd895c709b0221cd225e388eed2e11fda2"
+SURVEY_CSV_SHA256 = "bbc1f0febf07b26b5684aa8d0c67d92f1f14dc696c69caed5787695447b808a2"
+SURVEY_JSONL_SHA256 = "ecc1e8275fdd08c47fe1fec926f6ed7cd9eaba73e6262cce9f45bd08b349ca8b"
 
 
-def test_survey_csv(tmp_path, capsys):
+def test_survey_csv(tmp_path, capsys, monkeypatch):
+    def no_seesaw(*args, **kwargs):
+        raise AssertionError("the survey ran a see-saw")
+
+    monkeypatch.setattr(maps, "seesaw_extremum", no_seesaw)
     out_path = tmp_path / "survey.csv"
     assert cli.main(["survey", "--out", str(out_path), "--workers", "4"]) == 0
     summary = capsys.readouterr().out
@@ -191,6 +201,8 @@ def test_survey_csv(tmp_path, capsys):
             m = json.loads(row["certificate"])["multiplicity"]
             mult[m] = mult.get(m, 0) + 1
     assert mult == {1: 511, 2: 6528, 4: 1696}
+    # every PptEntangled mask is special, with the exact delta 1
+    assert all(row["witness_delta"] == ("1.0" if row["tag"] == "PptEntangled" else "") for row in rows)
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SURVEY_CSV_SHA256
 
 
@@ -206,19 +218,18 @@ def test_text_tables_hold_the_json_of_their_values():
 
 def test_csv_row_is_what_csv_writer_writes():
     # the first survey mask of each tag, criteria list and multiplicity,
-    # with a witness delta and each cross-check value, which the survey
-    # report hashes do not all reach
+    # with each cross-check value, which the survey report hashes do not
+    # all reach
     for mask in (0x0001, 0x0033, 0x0077, 0x0777, 0x0359, 0x12CF):
-        for witness in (False, True):
-            for check in (None, True, False):
-                rec = lattice.SurveyRecord(mask, lattice.popcount(mask), lattice.classify(mask, witness=witness))
-                rec.cross_check_ok = check
-                row = cli.report_record(rec)
-                cells = [json.dumps(row[key]) if key in ("special_point", "one_point", "k_pair", "certificate")
-                         and row[key] is not None else row[key] for key in cli.REPORT_FIELDS]
-                buf = io.StringIO()
-                csv.writer(buf).writerow(cells)
-                assert cli._csv_row(rec) == buf.getvalue()
+        for check in (None, True, False):
+            rec = lattice.SurveyRecord(mask, lattice.popcount(mask), lattice.classify(mask))
+            rec.cross_check_ok = check
+            row = cli.report_record(rec)
+            cells = [json.dumps(row[key]) if key in ("special_point", "one_point", "k_pair", "certificate")
+                     and row[key] is not None else row[key] for key in cli.REPORT_FIELDS]
+            buf = io.StringIO()
+            csv.writer(buf).writerow(cells)
+            assert cli._csv_row(rec) == buf.getvalue()
 
 
 def test_survey_jsonl(tmp_path, capsys):

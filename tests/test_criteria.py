@@ -265,6 +265,18 @@ def test_max_delta_rejects_points_outside_the_subset():
             criteria.max_delta(0xFFFF, p)
         with pytest.raises(criteria.PointNotInSubset):
             criteria.diagonal_lattice_witness(0xFFFF, p, 1.0)
+    # masks outside the lattice: -1 and 0x10000 must not pass for 0xFFFF
+    # or 0, nor 0x1000F for 0x000F
+    calls = (criteria.max_delta, lambda I, p: criteria.diagonal_lattice_witness(I, p, 1.0),
+             lambda I, p: criteria.delta_violation(I, p, 1.0, restarts=1))
+    for call in calls:
+        with pytest.raises(states.EmptySubset):
+            call(0, (0, 0))
+        for mask in (-1, 0x10000, 0x1000F):
+            with pytest.raises(states.OutOfRange):
+                call(mask, (0, 0))
+    with pytest.raises(criteria.PointNotInSubset):
+        criteria.delta_violation(0x0001, (1, 1), 1.0, restarts=1)
     # the special subset of the test above: its search reaches validation
     special = states.points_mask([(0, 0), (2, 0), (3, 0), (3, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
     with pytest.raises(maps.BadParameter):

@@ -275,9 +275,9 @@ def test_classify_consistency_invariants():
 
 def test_classify_with_witness():
     mask = cli.example_mask("special-10")
-    cls = lattice.classify(mask, witness=True)
+    cls = lattice.classify(mask)
     assert cls.tag == "PptEntangled"
-    assert cls.witness_delta > 0
+    assert cls.witness_delta == lattice.exact_delta(mask, cls.special_point) == 1.0
     W = criteria.diagonal_lattice_witness(mask, cls.special_point, cls.witness_delta)
     rho = states.lattice_state(mask)
     val = criteria.witness_value(W, rho)
