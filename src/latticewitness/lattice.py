@@ -13,14 +13,16 @@ The minimum partial-transpose eigenvalue of an NPT subset is the closed
 form (N - 2c)/(4N), c the largest cross count; `pt_min_eig` computes it
 with numpy.linalg as an independent oracle for cross-validation only.
 A lattice translation tau_t XORs each point's bit index with that of t.
-`survey` is one loop over `classify` in one process, so a mask gets
-the same certificate from either.
+`survey` computes the same criteria for 4096 masks at a time with numpy
+table lookups, then builds each record with the tag dispatch that
+`classify` runs, so a mask gets the same classification from either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -213,61 +215,66 @@ def _multicover(quads, I: int, M: int):
     exactly M times.
 
     Depth-first with fail-first point selection; returns a weight list
-    or None.  `full` holds the bits that take no more cover (outside I,
-    or demand met), so a quadruple is usable iff it misses `full`.
-    Complete: once a point's demand is met, any quadruple through it
-    becomes unusable, so all its quadruples are decided at the node
-    where the point is processed.
+    or None.  The state of a node is two bitsets: `open_`, the bits of I
+    whose demand is not met, and `usable`, over quadruple indices, the
+    quadruples that miss every bit outside `open_`.  Complete: once a
+    point's demand is met, any quadruple through it becomes unusable,
+    so all its quadruples are decided at the node where the point is
+    processed.
     """
     residual = [M] * 16
     weights = [0] * len(quads)
-    full = 0xFFFF & ~I
-    covers = [[qi for qi, q in enumerate(quads) if q >> b & 1] for b in range(16)]
+    bits = [[b for b in range(16) if q >> b & 1] for q in quads]
+    through = [sum(1 << qi for qi, q in enumerate(quads) if q >> b & 1) for b in range(16)]
 
-    def place(qi, step):
-        nonlocal full
-        weights[qi] += step
-        q = quads[qi]
-        while q:
-            low = q & -q
-            b = low.bit_length() - 1
-            residual[b] -= step
-            full = full & ~low if residual[b] else full | low
-            q ^= low
+    def place(qi, open_, usable):
+        weights[qi] += 1
+        for b in bits[qi]:
+            residual[b] -= 1
+            if not residual[b]:
+                open_ &= ~(1 << b)
+                usable &= ~through[b]
+        return open_, usable
 
-    def fill(b, cand, start):
-        # choose a multiset of candidate quadruples covering bit `b`
-        # until its demand is met; index-monotone to avoid duplicate
-        # orderings
-        if full >> b & 1:
-            return solve()
-        for i in range(start, len(cand)):
-            qi = cand[i]
-            if quads[qi] & full:
-                continue
-            place(qi, 1)
-            if fill(b, cand, i):
+    def unplace(qi):
+        weights[qi] -= 1
+        for b in bits[qi]:
+            residual[b] += 1
+
+    def fill(b, start, open_, usable):
+        # choose a multiset of usable quadruples covering bit `b` until
+        # its demand is met; index-monotone to avoid duplicate orderings
+        if not open_ >> b & 1:
+            return solve(open_, usable)
+        cand = through[b] & usable & -(1 << start)
+        while cand:
+            low = cand & -cand
+            qi = low.bit_length() - 1
+            if fill(b, qi, *place(qi, open_, usable)):
                 return True
-            place(qi, -1)
+            unplace(qi)
+            cand ^= low
         return False
 
-    def solve():
+    def solve(open_, usable):
         # fail-first: the open bit with the fewest usable quadruples,
         # ties to the lowest bit
         best = None
-        for b in range(16):
-            if full >> b & 1:
-                continue
-            cand = [qi for qi in covers[b] if not quads[qi] & full]
-            if not cand:
+        rest = open_
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            k = (through[b] & usable).bit_count()
+            if not k:
                 return False
-            if best is None or len(cand) < len(best[1]):
-                best = (b, cand)
-                if len(cand) == 1:
+            if best is None or k < fewest:
+                best, fewest = b, k
+                if k == 1:
                     break
-        return best is None or fill(*best, 0)
+            rest ^= low
+        return best is None or fill(best, 0, open_, usable)
 
-    return weights if solve() else None
+    return weights if solve(I, (1 << len(quads)) - 1) else None
 
 
 # Largest multiplicity the covering search tries; the survey finds every
@@ -367,19 +374,22 @@ def classify(I: int, *, memo: dict = None) -> Classification:
     across calls; the result is the same with or without it.
     """
     n = check_mask(I).bit_count()
-    if not ppt_combinatorial(I):
-        c = max(_cross_counts(I))
+    c = max(_cross_counts(I))
+    hits = (special_subset_point(I), entangled_one_point(I), k_criterion(I)) if ppt_combinatorial(I) else (None,) * 3
+    return _classification(I, n, c, *hits, {} if memo is None else memo)
+
+
+def _classification(I: int, n: int, c: int, sp, op, kc, memo: dict) -> Classification:
+    """The classification of I from its point count n, its largest cross
+    count c, and its special point, one-point point and k pair (each
+    None when absent; read only when I is PPT), as `classify` defines it."""
+    if 2 * c > n:
         return Classification("NptEntangled", ["npt"], None, None, None, (n - 2 * c) / (4 * n))
-    sp = special_subset_point(I)
-    op = entangled_one_point(I)
-    kc = k_criterion(I)
     fired = [name for name, hit in (("special_subset", sp), ("one_point", op), ("k_criterion", kc)) if hit is not None]
     if fired:
         delta = None if sp is None else exact_delta(I, sp)
         return Classification("PptEntangled", fired, sp, op, kc, witness_delta=delta)
     canon, t = canonical_mask(I)
-    if memo is None:
-        memo = {}
     if canon not in memo:
         memo[canon] = uniform_covering(canon)
     cov = memo[canon]
@@ -416,20 +426,76 @@ class SurveyRecord:
     cross_check_ok: bool = None  # combinatorial PPT and exact min PT eigenvalue vs numpy.linalg
 
 
+# Masks per numpy pass of `survey`.
+_BLOCK = 4096
+# As uint16 scalars: per bit b, the bit itself, its cross, and the bit of
+# the k-pair index j = 4*mu + nu whose pivot (mu+2, nu+2) is b; and the
+# special quadruples.
+_BIT_U16 = np.array([1 << b for b in range(16)], dtype=np.uint16)
+_CROSS_U16 = np.array(_CROSS, dtype=np.uint16)
+_K_BIT_U16 = np.array([1 << ((4 * (b & 3) + (b >> 2)) ^ 10) for b in range(16)], dtype=np.uint16)
+_QUADS_U16 = np.array(QUAD_MASKS, dtype=np.uint16)
+# Bit index (16 for none) -> point, and k-pair index -> (mu, nu).
+_POINT_AT = ALL_POINTS + [None]
+_K_PAIR_AT = [(j >> 2, j & 3) for j in range(16)] + [None]
+
+
+def _bit_tables():
+    """Popcount and lowest set bit (16 for none) of every 16-bit value,
+    as two uint8 tables."""
+    pop = np.zeros(1 << 16, np.uint8)
+    low = np.full(1 << 16, 16, np.uint8)
+    for k in range(16):
+        pop[1 << k:2 << k] = pop[:1 << k] + 1
+        low[1 << k::2 << k] = k
+    return pop, low
+
+
+def _block_criteria(m, pop, low):
+    """Per mask of the uint16 array m, as lists: the point count, the
+    largest cross count, and the bit indices of the special point and
+    the one-point point and the k-pair index, each the lowest and 16
+    for none, as `special_subset_point`, `entangled_one_point` and
+    `k_criterion` find them on a PPT mask.  One cross and one quadruple
+    at a time, so that every temporary is the size of the block."""
+    c = np.zeros(len(m), np.uint8)
+    c1 = np.zeros_like(m)  # the bits whose cross meets m once
+    k_hits = np.zeros_like(m)  # the k-pair indices whose pivot is in c1
+    for bit, cross, k_bit in zip(_BIT_U16, _CROSS_U16, _K_BIT_U16):
+        counts = pop[m & cross]
+        np.maximum(c, counts, out=c)
+        one = counts == 1
+        c1 |= one * bit
+        k_hits |= one * k_bit
+    covered = np.zeros_like(m)
+    for q in _QUADS_U16:
+        covered |= ((m & q) == q) * q
+    return pop[m].tolist(), c.tolist(), low[m & ~covered].tolist(), low[c1 & ~m].tolist(), low[k_hits].tolist()
+
+
 def survey(masks=range(1, 1 << 16), cross_validate: bool = False):
     """Yield a record per mask, in the order given (by default every
     nonempty subset), classifying in one process with one shared
-    covering memo."""
+    covering memo.
+
+    `masks` is read lazily, 4096 at a time, and the criteria of each
+    block are computed in one numpy pass.  Every mask of a block goes
+    through `check_mask` when the block is read, so a bad mask raises
+    before the records of the earlier masks in its block are yielded."""
+    pop, low = _bit_tables()
     memo = {}
-    for I in masks:
-        cls = classify(I, memo=memo)
-        rec = SurveyRecord(I, popcount(I), cls)
-        if cross_validate:
-            numeric = pt_min_eig(I)
-            rec.cross_check_ok = ppt_combinatorial(I) == (numeric >= -1e-9) and (
-                cls.min_pt_eig is None or abs(cls.min_pt_eig - numeric) < 1e-12
-            )
-        yield rec
+    masks = iter(masks)
+    while block := [check_mask(I) for I in islice(masks, _BLOCK)]:
+        m = np.array(block, dtype=np.uint16)
+        for I, n, c, s, o, k in zip(block, *_block_criteria(m, pop, low)):
+            cls = _classification(I, n, c, _POINT_AT[s], _POINT_AT[o], _K_PAIR_AT[k], memo)
+            rec = SurveyRecord(I, n, cls)
+            if cross_validate:
+                numeric = pt_min_eig(I)
+                rec.cross_check_ok = (cls.tag != "NptEntangled") == (numeric >= -1e-9) and (
+                    cls.min_pt_eig is None or abs(cls.min_pt_eig - numeric) < 1e-12
+                )
+            yield rec
 
 
 def survey_all(cross_validate: bool = False, *, workers: int = 1):

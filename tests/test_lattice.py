@@ -1,5 +1,7 @@
 """Combinatorial lattice criteria against the numeric oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -195,8 +197,10 @@ def test_masks_outside_the_lattice_are_out_of_range():
 
 
 def test_bit_helpers_match_their_definitions():
+    pop, low = lattice._bit_tables()
     for mask in range(1 << 16):
-        assert lattice.popcount(mask) == bin(mask).count("1")
+        assert lattice.popcount(mask) == pop[mask] == bin(mask).count("1")
+        assert low[mask] == ((mask & -mask).bit_length() - 1 if mask else 16)
     for t in lattice.ALL_POINTS:
         s = lattice.point_bit(t)
         for mask in range(1, 1 << 16):
@@ -285,11 +289,43 @@ def test_classify_with_witness():
 
 
 def test_survey_sample_matches_classify():
-    # survey records are a pure function of the mask and carry the same
-    # classification as classify; 0x0bff, 0x0dff and 0x0eff are the first
-    # masks whose direct covering search differs from the translated
-    # covering of their canonical mask
+    # the survey's block kernel against the scalar criteria of classify,
+    # on every mask
+    for rec in lattice.survey():
+        assert rec.classification == lattice.classify(rec.mask)
+        assert rec.n_points == lattice.popcount(rec.mask)
+        assert rec.cross_check_ok is None
+    # cross-validated on a sample: 0x0bff, 0x0dff and 0x0eff are the
+    # first masks whose direct covering search differs from the
+    # translated covering of their canonical mask
     masks = list(range(1, 200)) + [0x0BFF, 0x0DFF, 0x0EFF]
-    for rec in lattice.survey(masks, True):
+    recs = list(lattice.survey(masks, True))
+    assert [rec.mask for rec in recs] == masks
+    for rec in recs:
         assert rec.classification == lattice.classify(rec.mask)
         assert rec.cross_check_ok
+
+
+def test_survey_checks_every_mask_before_its_block():
+    # a uint16 cast would wrap 0x10000 to 0x0000 and 0x1ffff and -1 to
+    # 0xffff; the bad mask raises before the record of 0x0001 is yielded
+    for mask, error in ((0, states.EmptySubset), (0x10000, states.OutOfRange),
+                        (0x1FFFF, states.OutOfRange), (-1, states.OutOfRange)):
+        with pytest.raises(error):
+            next(lattice.survey([0x0001, mask]))
+
+
+def test_survey_reads_its_masks_one_block_at_a_time():
+    pulled = 0
+
+    def masks():
+        nonlocal pulled
+        for mask in range(1, 1 << 16):
+            pulled += 1
+            yield mask
+
+    next(lattice.survey(masks()))
+    assert pulled <= 4096
+    pulled = 0
+    assert len(list(itertools.islice(lattice.survey(masks()), 5000))) == 5000
+    assert pulled <= 2 * 4096
