@@ -61,12 +61,12 @@ class Witness:
         return Witness(self.mat / t, self.dims, self.provenance)
 
 
-def ppt_check(rho: states.DensityMatrix, tol: float = 1e-9) -> CriterionVerdict:
+def ppt_check(rho: states.DensityMatrix) -> CriterionVerdict:
     """Partial-transposition test: detected iff PT over the second party
-    has an eigenvalue below -tol."""
+    has an eigenvalue below -1e-9."""
     pt = linalg.partial_transpose(rho.mat, rho.dims, which=2)
     low = linalg.min_eig(pt)
-    return CriterionVerdict("ppt", low < -tol, low)
+    return CriterionVerdict("ppt", low < -1e-9, low)
 
 
 def realignment_check(rho: states.DensityMatrix) -> CriterionVerdict:

@@ -12,7 +12,9 @@ integer combinatorics on one table, the cross counts of `_cross_counts`.
 The minimum partial-transpose eigenvalue of an NPT subset is the closed
 form (N - 2c)/(4N), c the largest cross count; `pt_min_eig` computes it
 with numpy.linalg as an independent oracle for cross-validation only.
-A lattice translation tau_t XORs each point's bit index with that of t.
+A lattice translation tau_t XORs each point's bit index with that of t,
+and the special quadruples are the translates of the 15 planes
+{0, a, b, a^b} of bit indices whose words commute.
 `survey` computes the same criteria for 4096 masks at a time with numpy
 table lookups, then builds each record with the tag dispatch that
 `classify` runs, so a mask gets the same classification from either.
@@ -26,7 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import criteria, linalg, states
+from . import criteria, linalg, pauli, states
 from .criteria import NotPpt
 from .states import EmptySubset, check_mask  # EmptySubset is re-exported
 
@@ -69,34 +71,12 @@ def translate_mask(t, mask: int) -> int:
     return mask
 
 
-# The 15 special quadruples through (0,0): each is {(0,0)} plus a
-# commuting triple closed under the componentwise product index map.
-_Q00_TRIPLES = [
-    ((0, 1), (1, 0), (1, 1)),
-    ((0, 2), (2, 0), (2, 2)),
-    ((0, 3), (3, 0), (3, 3)),
-    ((0, 1), (2, 1), (2, 0)),
-    ((0, 2), (1, 2), (1, 0)),
-    ((0, 3), (1, 3), (1, 0)),
-    ((0, 1), (3, 1), (3, 0)),
-    ((0, 2), (3, 2), (3, 0)),
-    ((0, 3), (2, 3), (2, 0)),
-    ((1, 1), (2, 2), (3, 3)),
-    ((1, 2), (2, 3), (3, 1)),
-    ((1, 1), (2, 3), (3, 2)),
-    ((1, 3), (2, 2), (3, 1)),
-    ((1, 2), (2, 1), (3, 3)),
-    ((1, 3), (2, 1), (3, 2)),
-]
-
-
-def quadruples_q00() -> list:
-    """The 15 special quadruples containing (0,0), as sorted point tuples."""
-    return [tuple(sorted(((0, 0),) + t)) for t in _Q00_TRIPLES]
-
-
 def _build_all_quadruples():
-    masks = {translate_mask(t, states.points_mask(q)) for q in quadruples_q00() for t in ALL_POINTS}
+    """The 60 special quadruples as sorted point tuples, in sorted order.
+    Where a and b commute, so do all pairs of {0, a, b, a^b}."""
+    planes = {1 | 1 << a | 1 << b | 1 << (a ^ b) for a in range(1, 16) for b in range(a + 1, 16)
+              if pauli.words_commute(ALL_POINTS[a], ALL_POINTS[b])}
+    masks = {translate_mask(t, q) for q in planes for t in ALL_POINTS}
     return sorted(tuple(sorted(states.mask_points(m))) for m in masks)
 
 
@@ -104,6 +84,11 @@ ALL_QUADRUPLES = _build_all_quadruples()
 QUAD_MASKS = [states.points_mask(q) for q in ALL_QUADRUPLES]
 _QUADRUPLE = dict(zip(QUAD_MASKS, ALL_QUADRUPLES))  # mask -> point tuple
 _QUAD_MASK = dict(zip(ALL_QUADRUPLES, QUAD_MASKS))  # point tuple -> mask
+
+
+def quadruples_q00() -> list:
+    """The 15 special quadruples containing (0,0), in sorted order."""
+    return [q for q in ALL_QUADRUPLES if q[0] == (0, 0)]
 
 
 def exact_delta(I: int, p) -> float:
@@ -312,15 +297,19 @@ class CertificateRecord:
 
 def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     """Check that the covering's convex mixture of quadruple states
-    reproduces the lattice state of I.  Every item must be one of the
-    special quadruple tuples of `all_quadruples()`."""
+    reproduces the lattice state of I.  Every item must be a special
+    quadruple (points as tuples, or lists as in a JSON report) of
+    `all_quadruples()` with a positive integer weight."""
     n = check_mask(I).bit_count()
     counts = [0] * 16
-    for q, w in covering.items:
-        if tuple(q) not in _QUAD_MASK:
+    items = [(tuple(tuple(p) if isinstance(p, list) else p for p in q), w) for q, w in covering.items]
+    for q, w in items:
+        if q not in _QUAD_MASK:
             raise BadCovering(f"{q} is not a special quadruple")
-        if _QUAD_MASK[tuple(q)] & ~I:
+        if _QUAD_MASK[q] & ~I:
             raise BadCovering("covering quadruple leaves the subset")
+        if not isinstance(w, int) or w < 1:
+            raise BadCovering(f"weight {w!r} is not a positive integer")
         for p in q:
             counts[point_bit(p)] += w
     M = covering.multiplicity
@@ -331,13 +320,13 @@ def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     total = covering.total_weight
     mix = np.zeros((16, 16), dtype=complex)
     all_ppt = True
-    for q, w in covering.items:
-        rho_q = states.lattice_state(states.points_mask(q))
+    for q, w in items:
+        rho_q = states.lattice_state(_QUAD_MASK[q])
         mix += (w / total) * rho_q.mat
         if criteria.ppt_check(rho_q).detected:
             all_ppt = False
     err = float(np.max(np.abs(mix - states.lattice_state(I).mat)))
-    return CertificateRecord([(q, w / total) for q, w in covering.items], err, all_ppt)
+    return CertificateRecord([(q, w / total) for q, w in items], err, all_ppt)
 
 
 def pt_min_eig(I: int) -> float:
@@ -361,7 +350,7 @@ class Classification:
     witness_delta: float = None  # exact_delta at special_point
 
 
-def classify(I: int, *, memo: dict = None) -> Classification:
+def classify(I: int) -> Classification:
     """Evaluation order: combinatorial PPT, then the entanglement
     criteria (special subset, one-point, k), then covering search.  All
     firing criteria are recorded; the tag follows that precedence.
@@ -370,13 +359,12 @@ def classify(I: int, *, memo: dict = None) -> Classification:
     (N - 2c)/(4N), c the largest cross count.  A special subset records
     the exact witness strength `exact_delta` at its special point.  The
     covering is searched on the translation-canonical mask and moved
-    back onto I.  `memo` (canonical mask -> covering) caches that search
-    across calls; the result is the same with or without it.
+    back onto I.
     """
     n = check_mask(I).bit_count()
     c = max(_cross_counts(I))
     hits = (special_subset_point(I), entangled_one_point(I), k_criterion(I)) if ppt_combinatorial(I) else (None,) * 3
-    return _classification(I, n, c, *hits, {} if memo is None else memo)
+    return _classification(I, n, c, *hits, {})
 
 
 def _classification(I: int, n: int, c: int, sp, op, kc, memo: dict) -> Classification:

@@ -203,10 +203,10 @@ def reshuffle(M: np.ndarray, dims) -> np.ndarray:
     return T.transpose(3, 1, 2, 0).reshape(d1 * d2, d1 * d2)
 
 
-def min_eig(M: np.ndarray, tol: float = 1e-8) -> float:
-    w, _ = hermitian_eig(M, tol)
+def min_eig(M: np.ndarray) -> float:
+    w, _ = hermitian_eig(M, 1e-8)
     return float(w[-1])
 
 
-def is_psd(M: np.ndarray, tol: float = 1e-9) -> bool:
-    return min_eig(M) >= -tol
+def is_psd(M: np.ndarray) -> bool:
+    return min_eig(M) >= -1e-9

@@ -89,12 +89,12 @@ def extend_apply(m: ChoiMap, rho: states.DensityMatrix) -> np.ndarray:
     return out.reshape(d1 * m.out_dim, d1 * m.out_dim)
 
 
-def is_completely_positive(m: ChoiMap, tol: float = 1e-9):
+def is_completely_positive(m: ChoiMap):
     """(verdict, min Choi eigenvalue); CP iff the Choi matrix is PSD."""
     if not linalg.is_hermitian(m.choi, 1e-10):
         raise linalg.NotHermitian("Choi matrix is not Hermitian")
     low = linalg.min_eig(m.choi)
-    return low >= -tol, low
+    return low >= -1e-9, low
 
 
 @dataclass
@@ -206,7 +206,7 @@ def reduction_map(d: int) -> ChoiMap:
 
 def gamma_map(t: float) -> SigmaDiagMap:
     """The one-parameter positive diagonal family on M_4 (t >= 0)."""
-    if t < 0:
+    if not t >= 0:  # NaN fails this too
         raise BadParameter("t must be nonnegative")
     e = np.exp(-4.0 * t)
     a = (1 + 3 * e) / 4

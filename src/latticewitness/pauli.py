@@ -4,10 +4,9 @@
 Indices 0..3 label (identity, x, y, z).  A word is a tuple of indices,
 one per qubit; for two qubits a word doubles as a point (alpha, beta)
 of the 4x4 lattice, alpha indexing the column and beta the row.
-
-The product/phase/commutation tables are hard-coded and verified at
-import time against explicit 2x2 matrix multiplication, so a
-transcription error cannot survive an import.
+Only the matrices `SIGMA` are written out; the tables follow from them:
+sigma_a sigma_m is a phase times sigma_{a ^ m}, and two Paulis commute
+iff one is the identity or they are equal.
 """
 
 from __future__ import annotations
@@ -29,28 +28,14 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-# sigma_a sigma_m = PRODUCT_PHASE[a][m] * sigma_{PRODUCT_INDEX[a][m]}
-PRODUCT_INDEX = (
-    (0, 1, 2, 3),
-    (1, 0, 3, 2),
-    (2, 3, 0, 1),
-    (3, 2, 1, 0),
-)
-
-PRODUCT_PHASE = (
-    (1, 1, 1, 1),
-    (1, 1, 1j, -1j),
-    (1, -1j, 1, 1j),
-    (1, 1j, -1j, 1),
-)
+# sigma_a sigma_m = PRODUCT_PHASE[a][m] * sigma_{PRODUCT_INDEX[a][m]}; the
+# phase is tr(sigma_a sigma_m sigma_{a^m}) / 2, as sigma_{a^m} squares to 1
+PRODUCT_INDEX = tuple(tuple(a ^ m for m in range(4)) for a in range(4))
+PRODUCT_PHASE = tuple(tuple(complex(np.trace(SIGMA[a] @ SIGMA[m] @ SIGMA[a ^ m])) / 2 for m in range(4))
+                      for a in range(4))
 
 # +1 when sigma_a and sigma_g commute, -1 when they anticommute
-COMMUTE_SIGN = (
-    (1, 1, 1, 1),
-    (1, 1, -1, -1),
-    (1, -1, 1, -1),
-    (1, -1, -1, 1),
-)
+COMMUTE_SIGN = tuple(tuple(1 if a * g == 0 or a == g else -1 for g in range(4)) for a in range(4))
 
 
 def check_index(a) -> int:
@@ -62,7 +47,7 @@ def check_index(a) -> int:
 
 def pauli_product(a: int, m: int) -> tuple[int, complex]:
     """Index and phase of sigma_a sigma_m."""
-    return PRODUCT_INDEX[a][m], complex(PRODUCT_PHASE[a][m])
+    return PRODUCT_INDEX[a][m], PRODUCT_PHASE[a][m]
 
 
 def commute_sign(a: int, g: int) -> int:
@@ -100,16 +85,3 @@ def tau(t: LatticePoint, p: LatticePoint) -> LatticePoint:
     """
     return (PRODUCT_INDEX[t[0]][p[0]], PRODUCT_INDEX[t[1]][p[1]])
 
-
-def _verify_tables() -> None:
-    for a in range(4):
-        for m in range(4):
-            idx, phase = pauli_product(a, m)
-            if not np.array_equal(SIGMA[a] @ SIGMA[m], phase * SIGMA[idx]):
-                raise AssertionError(f"product table wrong at ({a},{m})")
-            commutes = np.array_equal(SIGMA[a] @ SIGMA[m], SIGMA[m] @ SIGMA[a])
-            if (COMMUTE_SIGN[a][m] == 1) != commutes:
-                raise AssertionError(f"commutation table wrong at ({a},{m})")
-
-
-_verify_tables()

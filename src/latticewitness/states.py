@@ -52,13 +52,13 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def assert_density(rho: DensityMatrix, tol: float = 1e-9) -> None:
+def assert_density(rho: DensityMatrix) -> None:
     """Raise if rho is not Hermitian, unit-trace and PSD within tolerance."""
     if not linalg.is_hermitian(rho.mat, 1e-10):
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho.mat).real - 1.0) > 1e-10:
         raise ValueError("density matrix trace differs from 1")
-    if linalg.min_eig(rho.mat) < -tol:
+    if linalg.min_eig(rho.mat) < -1e-9:
         raise ValueError("density matrix has a negative eigenvalue")
 
 
@@ -122,8 +122,8 @@ def sigma_diagonal_state(n: int, weights) -> DensityMatrix:
     r = np.asarray(weights, dtype=float)
     if r.shape != (4**n,):
         raise BadWeights(f"expected {4**n} weights, got shape {r.shape}")
-    if np.any(r < -1e-12) or abs(r.sum() - 1.0) > 1e-12:
-        raise BadWeights("weights must be nonnegative and sum to 1")
+    if not (np.all(r >= -1e-12) and abs(r.sum() - 1.0) <= 1e-12):  # NaN and inf fail too
+        raise BadWeights("weights must be finite, nonnegative and sum to 1")
     return DensityMatrix(_projector_sum(r, n), (2**n, 2**n))
 
 

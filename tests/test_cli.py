@@ -56,6 +56,17 @@ def test_classify_json_schema(capsys):
     assert rec["min_pt_eig"] < -1e-9
 
 
+def test_classify_json_certificate_verifies(capsys):
+    # the report gives points as lists; the certificate must re-check as read
+    mask = cli.example_mask("cover-10")
+    assert cli.main(["classify", "--mask", f"{mask:#06x}", "--json"]) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    cov = lattice.Covering([(q["points"], q["weight"]) for q in cert["quadruples"]], cert["multiplicity"])
+    rec = lattice.separability_certificate(mask, cov)
+    assert rec.reconstruction_error < 1e-12 and rec.all_quadruple_states_ppt
+    assert rec.weights == [(q, w / 5) for q, w in lattice.classify(mask).covering.items]
+
+
 def test_classify_human_output(capsys):
     mask = cli.example_mask("cover-10")
     assert cli.main(["classify", "--mask", f"{mask:#06x}"]) == 0

@@ -24,6 +24,28 @@ def test_quadruple_census():
         assert (0, 0) in q
 
 
+def test_quadruples_are_the_translates_of_the_commuting_planes():
+    # independent of the derivation in `lattice`: word matrices from the
+    # test's own Pauli matrices, products and commutation by matrix
+    # products; point (alpha, beta) is bit 4*beta + alpha
+    sig = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    word = [np.kron(sig[b & 3], sig[b >> 2]) for b in range(16)]
+    points = [(b & 3, b >> 2) for b in range(16)]
+
+    def product(a, b):  # the word that word a times word b is a phase times
+        return next(c for c in range(16) if abs(np.trace(word[c].conj().T @ word[a] @ word[b])) > 1)
+
+    planes = {frozenset((0, a, b, product(a, b))) for a in range(1, 16) for b in range(a + 1, 16)}
+    assert len(planes) == 35
+    commuting = [q for q in planes
+                 if all(np.allclose(word[a] @ word[b], word[b] @ word[a]) for a, b in itertools.combinations(q, 2))]
+    assert len(commuting) == 15
+    translates = {tuple(sorted(points[product(t, b)] for b in q)) for q in commuting for t in range(16)}
+    assert len(translates) == 60
+    assert lattice.all_quadruples() == sorted(translates)
+    assert lattice.quadruples_q00() == sorted(tuple(sorted(points[b] for b in q)) for q in commuting)
+
+
 def test_q00_quadruples_pairwise_commute():
     # the words of a special quadruple through the origin commute pairwise
     for q in lattice.quadruples_q00():
@@ -162,6 +184,23 @@ def test_certificate_rejects_bad_coverings():
         lattice.separability_certificate(mask, lopsided)
 
 
+def test_certificate_rejects_weights_that_are_not_positive_integers():
+    # the four cosets of one origin plane at weight 2 and of another at
+    # weight -1 cover the full lattice once, with a total weight of 4, so
+    # every count and the total check out; a negative weight proves nothing
+    def cosets(q):
+        return {lattice._QUADRUPLE[lattice.translate_mask(t, states.points_mask(q))] for t in lattice.ALL_POINTS}
+
+    first, second = lattice.quadruples_q00()[:2]
+    items = [(q, 2) for q in cosets(first)] + [(q, -1) for q in cosets(second)]
+    with pytest.raises(lattice.BadCovering, match="positive integer"):
+        lattice.separability_certificate(0xFFFF, lattice.Covering(items, 1))
+    q = lattice.quadruples_q00()[0]
+    for w in (0, 1.0, 0.5):
+        with pytest.raises(lattice.BadCovering, match="positive integer"):
+            lattice.separability_certificate(states.points_mask(q), lattice.Covering([(q, w)], w))
+
+
 def test_certificate_rejects_items_that_are_not_special_quadruples():
     # off-lattice points are caught before any bit shift ((5, 0) would
     # alias (1, 1) and complete the special quadruple 0x0033), and the
@@ -170,6 +209,7 @@ def test_certificate_rejects_items_that_are_not_special_quadruples():
     rows = [tuple((a, b) for a in range(4)) for b in range(4)]
     for mask, items in ((0xFFFF, [(((-1, 0), (0, 1), (1, 0), (1, 1)), 1)]),
                         (0x0033, [(((0, 0), (1, 0), (5, 0), (0, 1)), 1)]),
+                        (0x0033, [(((0, 0), 1, 4, 5), 1)]),
                         (0xFFFF, [(r, 1) for r in rows])):
         with pytest.raises(lattice.BadCovering):
             lattice.separability_certificate(mask, lattice.Covering(items, 1))

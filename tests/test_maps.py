@@ -119,8 +119,9 @@ def test_gamma_family_is_positive_but_not_cp_for_positive_times():
         assert not ok and low < -1e-3
         res = maps.block_positivity_seesaw(cm, restarts=16)
         assert not res.violated
-    with pytest.raises(maps.BadParameter):
-        maps.gamma_map(-0.1)
+    for t in (-0.1, float("nan")):
+        with pytest.raises(maps.BadParameter):
+            maps.gamma_map(t)
 
 
 def test_phi_v_map_requires_unit_vector():

@@ -32,6 +32,10 @@ def test_sigma_diagonal_state_rejects_bad_weights():
         w = np.zeros(16)
         w[0], w[1] = 1.5, -0.5
         states.sigma_diagonal_state(2, w)
+    # NaN fails both a sign and a sum comparison, so it once passed
+    for bad in ([0.25, np.nan, 0.25, 0.25], [0.25, np.inf, 0.25, 0.25], [0.5, np.inf, -np.inf, 0.5]):
+        with pytest.raises(states.BadWeights):
+            states.sigma_diagonal_state(1, bad)
 
 
 def test_lattice_state_is_uniform_on_its_support():
