@@ -46,8 +46,10 @@ def parse_pattern(text: str) -> int:
     return mask
 
 
-# Grid line of each 4-bit row value, alpha = 0..3 left to right.
+# Grid line of each 4-bit row value, alpha = 0..3 left to right, and the
+# report pattern of each 8-bit half of a mask: its high row, "/", its low row.
 _ROW_TEXT = [" ".join("x" if r >> alpha & 1 else "." for alpha in range(4)) for r in range(16)]
+_HALF_TEXT = [f"{_ROW_TEXT[h >> 4]}/{_ROW_TEXT[h & 0xF]}" for h in range(256)]
 
 
 def render_pattern(mask: int) -> str:
@@ -123,6 +125,10 @@ def _csv_row(rec: lattice.SurveyRecord) -> str:
     only the certificate a quote."""
     cls = rec.classification
     mask = rec.mask
+    pattern = f"{_HALF_TEXT[mask >> 8]}/{_HALF_TEXT[mask & 0xFF]}"
+    if cls.tag == "NptEntangled":  # fired "npt", no points, certificate or delta
+        return (f"{mask:#06x},{rec.n_points},{pattern},NptEntangled,npt,,,,"
+                f"{cls.min_pt_eig!r},,,{_scalar_cell(rec.cross_check_ok)}\r\n")
     fired = ",".join(cls.criteria_fired)
     cov = cls.covering
     if cov is None:
@@ -131,9 +137,7 @@ def _csv_row(rec: lattice.SurveyRecord) -> str:
         items = ", ".join([_ITEM_JSON[q] % w for q, w in cov.items])
         cert = '"{""multiplicity"": %d, ""quadruples"": [%s]}"' % (cov.multiplicity, items.replace('"', '""'))
     return ",".join([
-        f"{mask:#06x}", str(rec.n_points),
-        f"{_ROW_TEXT[mask >> 12]}/{_ROW_TEXT[mask >> 8 & 0xF]}/{_ROW_TEXT[mask >> 4 & 0xF]}/{_ROW_TEXT[mask & 0xF]}",
-        cls.tag, f'"{fired}"' if "," in fired else fired,
+        f"{mask:#06x}", str(rec.n_points), pattern, cls.tag, f'"{fired}"' if "," in fired else fired,
         _point_cell(cls.special_point), _point_cell(cls.one_point), _point_cell(cls.k_pair),
         _scalar_cell(cls.min_pt_eig), cert, _scalar_cell(cls.witness_delta), _scalar_cell(rec.cross_check_ok),
     ]) + "\r\n"

@@ -112,6 +112,8 @@ def diagonal_lattice_witness(I: int, p, delta: float) -> Witness:
     matrix of the diagonal map with coefficient 1/4 off I, -delta/4 at the
     point `p` in I, and 0 elsewhere.  Tr(W rho_I) = -delta/(4 N_I)."""
     _check_point(I, p)
+    if not abs(delta) < np.inf:  # NaN fails this too
+        raise maps.BadParameter(f"delta must be finite, got {delta}")
     coeffs = 0.25 * (1.0 - states.lattice_indicator(I))
     coeffs -= delta / 4.0 * states.lattice_indicator(states.points_mask([p]))
     choi = maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))

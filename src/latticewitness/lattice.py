@@ -15,8 +15,8 @@ with numpy.linalg as an independent oracle for cross-validation only.
 A lattice translation tau_t XORs each point's bit index with that of t,
 and the special quadruples are the translates of the 15 planes
 {0, a, b, a^b} of bit indices whose words commute.
-`survey` computes the same criteria for 4096 masks at a time with numpy
-table lookups, then builds each record with the tag dispatch that
+`survey` computes the same criteria and the least translates of 4096 masks
+at a time with numpy, then builds each record with the tag dispatch that
 `classify` runs, so a mask gets the same classification from either.
 """
 
@@ -59,6 +59,16 @@ def popcount(mask: int) -> int:
 _BLOCK_SWAPS = ((1, 0x5555), (2, 0x3333), (4, 0x0F0F), (8, 0x00FF))
 
 
+def _translates(m) -> list:
+    """The 16 translates of a mask, or of each mask of a uint16 array:
+    image s is the translate by ALL_POINTS[s].  Each block swap doubles
+    the list, so swap k was applied to image s iff bit k of s is set."""
+    imgs = [m]
+    for k, lo in _BLOCK_SWAPS:
+        imgs += [(x & lo) << k | (x >> k) & lo for x in imgs]
+    return imgs
+
+
 def translate_mask(t, mask: int) -> int:
     """Image of a subset mask under the lattice translation tau_t, which
     moves bit i to bit i ^ point_bit(t) (Pauli product indices XOR): one
@@ -76,7 +86,7 @@ def _build_all_quadruples():
     Where a and b commute, so do all pairs of {0, a, b, a^b}."""
     planes = {1 | 1 << a | 1 << b | 1 << (a ^ b) for a in range(1, 16) for b in range(a + 1, 16)
               if pauli.words_commute(ALL_POINTS[a], ALL_POINTS[b])}
-    masks = {translate_mask(t, q) for q in planes for t in ALL_POINTS}
+    masks = {img for q in planes for img in _translates(q)}
     return sorted(tuple(sorted(states.mask_points(m))) for m in masks)
 
 
@@ -84,6 +94,9 @@ ALL_QUADRUPLES = _build_all_quadruples()
 QUAD_MASKS = [states.points_mask(q) for q in ALL_QUADRUPLES]
 _QUADRUPLE = dict(zip(QUAD_MASKS, ALL_QUADRUPLES))  # mask -> point tuple
 _QUAD_MASK = dict(zip(ALL_QUADRUPLES, QUAD_MASKS))  # point tuple -> mask
+# _QUAD_TRANSLATE[i][s]: the index of the translate of quadruple i by ALL_POINTS[s]
+_QUAD_TRANSLATE = [[QUAD_MASKS.index(img) for img in _translates(q)] for q in QUAD_MASKS]
+_QUADS_THROUGH = [[q for q in QUAD_MASKS if q >> b & 1] for b in range(16)]  # per bit, the 15 quadruples through it
 
 
 def quadruples_q00() -> list:
@@ -103,8 +116,7 @@ def exact_delta(I: int, p) -> float:
     identity or by an explicit decomposition (both proved for every
     point in tests/test_criteria.py)."""
     criteria._check_point(I, p)
-    bit = 1 << point_bit(p)
-    return 4.0 - max((q & I).bit_count() for q in QUAD_MASKS if q & bit)
+    return 4.0 - max((q & I).bit_count() for q in _QUADS_THROUGH[point_bit(p)])
 
 
 def all_quadruples() -> list:
@@ -142,10 +154,7 @@ def entangled_one_point(I: int):
     if not ppt_combinatorial(I):
         raise NotPpt("one-point criterion applies to PPT subsets only")
     counts = _cross_counts(I)
-    for b in range(16):
-        if not I >> b & 1 and counts[b] == 1:
-            return ALL_POINTS[b]
-    return None
+    return next((ALL_POINTS[b] for b in range(16) if not I >> b & 1 and counts[b] == 1), None)
 
 
 def k_criterion(I: int):
@@ -159,11 +168,8 @@ def k_criterion(I: int):
     if not ppt_combinatorial(I):
         raise NotPpt("k-criterion applies to PPT subsets only")
     counts = _cross_counts(I)
-    for mu in range(4):
-        for nu in range(4):
-            if counts[point_bit(((mu + 2) % 4, (nu + 2) % 4))] == 1:
-                return (mu, nu)
-    return None
+    return next(((mu, nu) for mu in range(4) for nu in range(4)
+                 if counts[point_bit(((mu + 2) % 4, (nu + 2) % 4))] == 1), None)
 
 
 def special_subset_point(I: int):
@@ -172,12 +178,10 @@ def special_subset_point(I: int):
 
     Presence makes I a special subset: its lattice state is entangled.
     """
-    check_mask(I)
-    covered = 0
+    rest = check_mask(I)
     for q in QUAD_MASKS:
         if q & I == q:
-            covered |= q
-    rest = I & ~covered
+            rest &= ~q
     return ALL_POINTS[(rest & -rest).bit_length() - 1] if rest else None
 
 
@@ -272,10 +276,8 @@ def uniform_covering(I: int):
     inside I, searched for M = 1..MAX_MULTIPLICITY; None if none exists
     in that range."""
     n = check_mask(I).bit_count()
-    if n < 4:
-        return None
     quads = [q for q in QUAD_MASKS if q & I == q]
-    if not quads:
+    if not quads:  # also when I has fewer than 4 points
         return None
     for M in range(1, MAX_MULTIPLICITY + 1):
         if (M * n) % 4:
@@ -338,7 +340,7 @@ def pt_min_eig(I: int) -> float:
     return float(np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (4, 4), 2))[0])
 
 
-@dataclass
+@dataclass(slots=True)
 class Classification:
     tag: str  # Separable | NptEntangled | PptEntangled | Unknown
     criteria_fired: list = field(default_factory=list)  # names, precedence order
@@ -361,52 +363,46 @@ def classify(I: int) -> Classification:
     covering is searched on the translation-canonical mask and moved
     back onto I.
     """
-    n = check_mask(I).bit_count()
-    c = max(_cross_counts(I))
-    hits = (special_subset_point(I), entangled_one_point(I), k_criterion(I)) if ppt_combinatorial(I) else (None,) * 3
-    return _classification(I, n, c, *hits, {})
+    if not ppt_combinatorial(I):
+        return _npt_classification(I.bit_count(), max(_cross_counts(I)))
+    canon, t = canonical_mask(I)
+    hits = special_subset_point(I), entangled_one_point(I), k_criterion(I)
+    return _ppt_classification(I, *hits, canon, point_bit(t), {})
 
 
-def _classification(I: int, n: int, c: int, sp, op, kc, memo: dict) -> Classification:
-    """The classification of I from its point count n, its largest cross
-    count c, and its special point, one-point point and k pair (each
-    None when absent; read only when I is PPT), as `classify` defines it."""
-    if 2 * c > n:
-        return Classification("NptEntangled", ["npt"], None, None, None, (n - 2 * c) / (4 * n))
+def _npt_classification(n: int, c: int) -> Classification:
+    return Classification("NptEntangled", ["npt"], None, None, None, (n - 2 * c) / (4 * n))
+
+
+def _ppt_classification(I: int, sp, op, kc, canon: int, s: int, memo: dict) -> Classification:
+    """The classification of the PPT mask I, as `classify` defines it,
+    from its special point, one-point point and k pair (each None when
+    absent) and its least translate canon, the translate by ALL_POINTS[s].
+    `memo` maps canon to None or to (multiplicity, [(quadruple index, weight)])."""
     fired = [name for name, hit in (("special_subset", sp), ("one_point", op), ("k_criterion", kc)) if hit is not None]
     if fired:
         delta = None if sp is None else exact_delta(I, sp)
         return Classification("PptEntangled", fired, sp, op, kc, witness_delta=delta)
-    canon, t = canonical_mask(I)
     if canon not in memo:
-        memo[canon] = uniform_covering(canon)
-    cov = memo[canon]
-    if cov is not None:
-        # tau_t maps I onto canon and is involutive, so it maps back
-        return Classification("Separable", [], covering=translate_covering(t, cov))
-    return Classification("Unknown", [])
+        cov = uniform_covering(canon)
+        memo[canon] = None if cov is None else (cov.multiplicity, [(ALL_QUADRUPLES.index(q), w) for q, w in cov.items])
+    if memo[canon] is None:
+        return Classification("Unknown", [])
+    M, items = memo[canon]
+    # tau_s maps I onto canon and is involutive, so it maps back
+    moved = [(ALL_QUADRUPLES[_QUAD_TRANSLATE[i][s]], w) for i, w in items]
+    return Classification("Separable", [], covering=Covering(moved, M))
 
 
 def canonical_mask(I: int):
     """Least translate of I, with the first translation (in ALL_POINTS
     order) that gives it."""
-    check_mask(I)
-    # each block swap doubles the list, so image s is the translate by
-    # ALL_POINTS[s]: swap k was applied to it iff bit k of s is set
-    imgs = [I]
-    for k, lo in _BLOCK_SWAPS:
-        imgs += [(m & lo) << k | (m >> k) & lo for m in imgs]
+    imgs = _translates(check_mask(I))
     i = imgs.index(min(imgs))
     return imgs[i], ALL_POINTS[i]
 
 
-def translate_covering(t, cov: Covering) -> Covering:
-    # the images are looked up in _QUADRUPLE so coverings share its tuples
-    items = [(_QUADRUPLE[translate_mask(t, _QUAD_MASK[q])], w) for q, w in cov.items]
-    return Covering(items, cov.multiplicity)
-
-
-@dataclass
+@dataclass(slots=True)
 class SurveyRecord:
     mask: int
     n_points: int
@@ -428,18 +424,7 @@ _POINT_AT = ALL_POINTS + [None]
 _K_PAIR_AT = [(j >> 2, j & 3) for j in range(16)] + [None]
 
 
-def _bit_tables():
-    """Popcount and lowest set bit (16 for none) of every 16-bit value,
-    as two uint8 tables."""
-    pop = np.zeros(1 << 16, np.uint8)
-    low = np.full(1 << 16, 16, np.uint8)
-    for k in range(16):
-        pop[1 << k:2 << k] = pop[:1 << k] + 1
-        low[1 << k::2 << k] = k
-    return pop, low
-
-
-def _block_criteria(m, pop, low):
+def _block_criteria(m):
     """Per mask of the uint16 array m, as lists: the point count, the
     largest cross count, and the bit indices of the special point and
     the one-point point and the k-pair index, each the lowest and 16
@@ -450,7 +435,7 @@ def _block_criteria(m, pop, low):
     c1 = np.zeros_like(m)  # the bits whose cross meets m once
     k_hits = np.zeros_like(m)  # the k-pair indices whose pivot is in c1
     for bit, cross, k_bit in zip(_BIT_U16, _CROSS_U16, _K_BIT_U16):
-        counts = pop[m & cross]
+        counts = np.bitwise_count(m & cross)
         np.maximum(c, counts, out=c)
         one = counts == 1
         c1 |= one * bit
@@ -458,7 +443,16 @@ def _block_criteria(m, pop, low):
     covered = np.zeros_like(m)
     for q in _QUADS_U16:
         covered |= ((m & q) == q) * q
-    return pop[m].tolist(), c.tolist(), low[m & ~covered].tolist(), low[c1 & ~m].tolist(), low[k_hits].tolist()
+    # lowest set bit, 16 for none: the bits below it, counted in (v & -v) - 1
+    lows = [np.bitwise_count((v & -v) - 1).tolist() for v in (m & ~covered, c1 & ~m, k_hits)]
+    return np.bitwise_count(m).tolist(), c.tolist(), *lows
+
+
+def _block_canonical(m):
+    """Per mask of the uint16 array m, as lists: its least translate and the
+    index s of the first translation ALL_POINTS[s] giving it, as in `canonical_mask`."""
+    imgs = np.stack(_translates(m))
+    return imgs.min(0).tolist(), imgs.argmin(0).tolist()
 
 
 def survey(masks=range(1, 1 << 16), cross_validate: bool = False):
@@ -470,19 +464,18 @@ def survey(masks=range(1, 1 << 16), cross_validate: bool = False):
     block are computed in one numpy pass.  Every mask of a block goes
     through `check_mask` when the block is read, so a bad mask raises
     before the records of the earlier masks in its block are yielded."""
-    pop, low = _bit_tables()
     memo = {}
     masks = iter(masks)
     while block := [check_mask(I) for I in islice(masks, _BLOCK)]:
         m = np.array(block, dtype=np.uint16)
-        for I, n, c, s, o, k in zip(block, *_block_criteria(m, pop, low)):
-            cls = _classification(I, n, c, _POINT_AT[s], _POINT_AT[o], _K_PAIR_AT[k], memo)
+        for I, n, c, sp, op, kc, canon, s in zip(block, *_block_criteria(m), *_block_canonical(m)):
+            cls = (_npt_classification(n, c) if 2 * c > n
+                   else _ppt_classification(I, _POINT_AT[sp], _POINT_AT[op], _K_PAIR_AT[kc], canon, s, memo))
             rec = SurveyRecord(I, n, cls)
             if cross_validate:
                 numeric = pt_min_eig(I)
-                rec.cross_check_ok = (cls.tag != "NptEntangled") == (numeric >= -1e-9) and (
-                    cls.min_pt_eig is None or abs(cls.min_pt_eig - numeric) < 1e-12
-                )
+                rec.cross_check_ok = ((cls.tag != "NptEntangled") == (numeric >= -1e-9)
+                                      and (cls.min_pt_eig is None or abs(cls.min_pt_eig - numeric) < 1e-12))
             yield rec
 
 

@@ -15,6 +15,7 @@ sigma-diagonal matrix) has exactly the coefficients as eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,6 +133,19 @@ def _seesaw_batch(A, psi, d2, minimize, iters=500):
     return val, psi, phi
 
 
+@lru_cache(maxsize=8)  # callers repeat one seed and restart count
+def _start_vectors(seed: int, restarts: int, d1: int) -> np.ndarray:
+    """Read-only (restarts, d1) stack: row i is a random unit vector drawn with
+    sub-seed [seed, i].  `_seesaw_batch` writes into its start vectors: pass a copy."""
+    psi = np.empty((restarts, d1), complex)
+    for i in range(restarts):
+        rng = np.random.default_rng([seed, i])
+        psi[i] = rng.normal(size=d1) + 1j * rng.normal(size=d1)
+        psi[i] /= np.linalg.norm(psi[i])
+    psi.setflags(write=False)
+    return psi
+
+
 def seesaw_extremum(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE, minimize: bool = True):
     """Best product-vector expectation value of the Choi matrix found by
     alternating eigenvector iteration with `restarts` seeded restarts.
@@ -152,12 +166,7 @@ def seesaw_extremum(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE, minimi
         raise linalg.NotHermitian("Choi matrix is not Hermitian")
     d1, d2 = m.in_dim, m.out_dim
     A = m.choi.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
-    psi = np.empty((restarts, d1), complex)
-    for i in range(restarts):
-        rng = np.random.default_rng([seed, i])
-        psi[i] = rng.normal(size=d1) + 1j * rng.normal(size=d1)
-        psi[i] /= np.linalg.norm(psi[i])
-    val, psi, phi = _seesaw_batch(A, psi, d2, minimize)
+    val, psi, phi = _seesaw_batch(A, _start_vectors(seed, restarts, d1).copy(), d2, minimize)
     best = 0
     for i in range(1, restarts):
         if val[i] < val[best] - 1e-15 if minimize else val[i] > val[best] + 1e-15:
@@ -231,7 +240,7 @@ def phi_v_map(v_col, v_row) -> ChoiMap:
     v_col = np.asarray(v_col, dtype=complex)
     v_row = np.asarray(v_row, dtype=complex)
     total = sum(abs(v_col[a]) ** 2 for a in (0, 1, 3)) + sum(abs(v_row[b]) ** 2 for b in (0, 1, 3))
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:  # NaN fails this too
         raise BadParameter("coefficients must satisfy sum |v|^2 = 1")
     V = np.zeros((4, 4), dtype=complex)
     for a in (0, 1, 3):

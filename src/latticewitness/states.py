@@ -229,20 +229,16 @@ def even_d_upb(d: int) -> list:
     if d < 4 or d % 2:
         raise OddDim("d must be even and at least 4")
     omega = np.exp(4j * np.pi / d)
-    out = []
-    for m in range(1, d // 2):
-        for n in range(d):
-            row = np.zeros(d, dtype=complex)
-            for j in range(d // 2):
-                row[(j + n + 1) % d] += omega ** (j * m)
-            out.append(np.kron(_ket(d, n), row / np.linalg.norm(row)))
-    for m in range(1, d // 2):
-        for n in range(d):
-            col = np.zeros(d, dtype=complex)
-            for j in range(d // 2):
-                col[(j + n) % d] += omega ** (j * m)
-            out.append(np.kron(col / np.linalg.norm(col), _ket(d, n)))
-    return out
+
+    def stripe(n, m, shift):  # sum_j omega^(jm) |j + n + shift>, normalized
+        v = np.zeros(d, dtype=complex)
+        for j in range(d // 2):
+            v[(j + n + shift) % d] += omega ** (j * m)
+        return v / np.linalg.norm(v)
+
+    pairs = [(m, n) for m in range(1, d // 2) for n in range(d)]
+    return ([np.kron(_ket(d, n), stripe(n, m, 1)) for m, n in pairs]
+            + [np.kron(stripe(n, m, 0), _ket(d, n)) for m, n in pairs])
 
 
 def horodecki_3x3(a: float) -> DensityMatrix:
@@ -251,9 +247,7 @@ def horodecki_3x3(a: float) -> DensityMatrix:
         raise OutOfRange("parameter a must lie strictly between 0 and 1")
     up = (1 + a) / 2
     x = np.sqrt(1 - a * a) / 2
-    M = np.zeros((9, 9))
-    for i in range(9):
-        M[i, i] = a
+    M = a * np.eye(9)
     for i, j in ((0, 4), (0, 8), (4, 8)):
         M[i, j] = M[j, i] = a
     M[6, 6] = M[8, 8] = up
@@ -267,9 +261,7 @@ def horodecki_2x4(b: float) -> DensityMatrix:
         raise OutOfRange("parameter b must lie in [0, 1]")
     up = (1 + b) / 2
     x = np.sqrt(1 - b * b) / 2
-    M = np.zeros((8, 8))
-    for i in range(8):
-        M[i, i] = b
+    M = b * np.eye(8)
     for i, j in ((0, 5), (1, 6), (2, 7)):
         M[i, j] = M[j, i] = b
     M[4, 4] = M[7, 7] = up

@@ -122,6 +122,13 @@ def test_diagonal_lattice_witness_bookkeeping():
         criteria.diagonal_lattice_witness(0x0001, (1, 1), 1.0)
 
 
+def test_diagonal_lattice_witness_rejects_a_delta_that_is_not_finite():
+    # a NaN delta used to give a NaN matrix marked "exact"
+    for delta in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(maps.BadParameter):
+            criteria.diagonal_lattice_witness(0x0001, (0, 0), delta)
+
+
 def test_diagonal_lattice_witness_vanishes_with_delta():
     W = criteria.diagonal_lattice_witness(0x00FF, (0, 0), 1e-9)
     got = criteria.witness_value(W, states.lattice_state(0x00FF))

@@ -237,10 +237,8 @@ def test_masks_outside_the_lattice_are_out_of_range():
 
 
 def test_bit_helpers_match_their_definitions():
-    pop, low = lattice._bit_tables()
     for mask in range(1 << 16):
-        assert lattice.popcount(mask) == pop[mask] == bin(mask).count("1")
-        assert low[mask] == ((mask & -mask).bit_length() - 1 if mask else 16)
+        assert lattice.popcount(mask) == bin(mask).count("1")
     for t in lattice.ALL_POINTS:
         s = lattice.point_bit(t)
         for mask in range(1, 1 << 16):
@@ -282,6 +280,19 @@ def test_canonical_mask():
         imgs = [lattice.translate_mask(t, mask) for t in lattice.ALL_POINTS]
         i = imgs.index(min(imgs))
         assert lattice.canonical_mask(mask) == (imgs[i], lattice.ALL_POINTS[i])
+
+
+def test_quadruple_translate_table():
+    for i, q in enumerate(lattice.QUAD_MASKS):
+        for s, t in enumerate(lattice.ALL_POINTS):
+            assert lattice.QUAD_MASKS[lattice._QUAD_TRANSLATE[i][s]] == lattice.translate_mask(t, q)
+
+
+def test_block_canonical_matches_canonical_mask():
+    masks = list(range(1, 1 << 16))
+    canon, index = lattice._block_canonical(np.array(masks, dtype=np.uint16))
+    for mask, c, s in zip(masks, canon, index):
+        assert lattice.canonical_mask(mask) == (c, lattice.ALL_POINTS[s])
 
 
 def test_survey_runs_every_covering_search_afresh(monkeypatch):

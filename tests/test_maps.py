@@ -129,6 +129,13 @@ def test_phi_v_map_requires_unit_vector():
         maps.phi_v_map(np.array([1.0, 1.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0]))
 
 
+def test_phi_v_map_rejects_nan_and_inf_coefficients():
+    # |nan - 1| > 1e-10 is False, so NaN used to pass as a unit vector
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(maps.BadParameter):
+            maps.phi_v_map([bad, 0, 0, 0], [0, 0, 0, 0])
+
+
 def test_extend_apply_matches_kron_of_choi_action():
     rng = np.random.default_rng(8)
     coeffs = rng.normal(size=16)
@@ -148,6 +155,20 @@ def test_seesaw_is_deterministic_and_bounded_by_extremal_eigenvalues():
     assert a[0] >= np.linalg.eigvalsh(cm.choi)[0] - 1e-12
     top = maps.seesaw_extremum(cm, restarts=16, seed=123, minimize=False)
     assert top[0] <= np.linalg.eigvalsh(cm.choi)[-1] + 1e-12
+
+
+def test_seesaw_start_vectors_are_drawn_once_and_left_unchanged():
+    cm = criteria._delta_choi(0xf587, (3, 3), 1.5)
+    first = maps.seesaw_extremum(cm, restarts=64, seed=5, minimize=False)
+    second = maps.seesaw_extremum(cm, restarts=64, seed=5, minimize=False)
+    assert first[0] == second[0]
+    assert np.array_equal(first[1], second[1]) and np.array_equal(first[2], second[2])
+    cached = maps._start_vectors(5, 64, 4)
+    assert not cached.flags.writeable
+    for i in range(64):
+        rng = np.random.default_rng([5, i])
+        fresh = rng.normal(size=4) + 1j * rng.normal(size=4)
+        assert np.array_equal(cached[i], fresh / np.linalg.norm(fresh))
 
 
 def test_seesaw_rejects_fewer_than_one_restart():
