@@ -76,11 +76,14 @@ def _covering_json(cov):
     }
 
 
-# JSON text of each point, and of each covering item with its weight
-# left to format in; k_pair values are points too.
+# JSON text of each point (k_pair values are points too), and the JSON
+# of each covering item, with its weight left to format in and every
+# quote doubled as in a quoted CSV cell.
 _POINT_JSON = {p: json.dumps(list(p)) for p in lattice.ALL_POINTS}
-_ITEM_JSON = {q: '{"points": %s, "weight": %%d}' % json.dumps([list(p) for p in q])
-              for q in lattice.ALL_QUADRUPLES}
+_ITEM_CSV = {q: '{""points"": %s, ""weight"": %%d}' % json.dumps([list(p) for p in q])
+             for q in lattice.ALL_QUADRUPLES}
+# The NptEntangled row after its pattern, per (min_pt_eig, cross_check_ok).
+_NPT_TAIL = {}
 
 
 REPORT_FIELDS = [
@@ -125,21 +128,22 @@ def _csv_row(rec: lattice.SurveyRecord) -> str:
     only the certificate a quote."""
     cls = rec.classification
     mask = rec.mask
-    pattern = f"{_HALF_TEXT[mask >> 8]}/{_HALF_TEXT[mask & 0xFF]}"
+    head = f"{mask:#06x},{rec.n_points},{_HALF_TEXT[mask >> 8]}/{_HALF_TEXT[mask & 0xFF]},"
     if cls.tag == "NptEntangled":  # fired "npt", no points, certificate or delta
-        return (f"{mask:#06x},{rec.n_points},{pattern},NptEntangled,npt,,,,"
-                f"{cls.min_pt_eig!r},,,{_scalar_cell(rec.cross_check_ok)}\r\n")
-    fired = ",".join(cls.criteria_fired)
+        key = cls.min_pt_eig, rec.cross_check_ok
+        if key not in _NPT_TAIL:
+            _NPT_TAIL[key] = f"NptEntangled,npt,,,,{key[0]!r},,,{_scalar_cell(key[1])}\r\n"
+        return head + _NPT_TAIL[key]
     cov = cls.covering
-    if cov is None:
-        cert = ""
-    else:
-        items = ", ".join([_ITEM_JSON[q] % w for q, w in cov.items])
-        cert = '"{""multiplicity"": %d, ""quadruples"": [%s]}"' % (cov.multiplicity, items.replace('"', '""'))
-    return ",".join([
-        f"{mask:#06x}", str(rec.n_points), pattern, cls.tag, f'"{fired}"' if "," in fired else fired,
-        _point_cell(cls.special_point), _point_cell(cls.one_point), _point_cell(cls.k_pair),
-        _scalar_cell(cls.min_pt_eig), cert, _scalar_cell(cls.witness_delta), _scalar_cell(rec.cross_check_ok),
+    if cov is not None:  # Separable: no criteria fired, no points, eigenvalue or delta
+        items = ", ".join([_ITEM_CSV[q] % w for q, w in cov.items])
+        return (f'{head}Separable,,,,,,"{{""multiplicity"": {cov.multiplicity}, ""quadruples"": [{items}]}}",,'
+                f"{_scalar_cell(rec.cross_check_ok)}\r\n")
+    fired = ",".join(cls.criteria_fired)
+    return head + ",".join([
+        cls.tag, f'"{fired}"' if "," in fired else fired, _point_cell(cls.special_point),
+        _point_cell(cls.one_point), _point_cell(cls.k_pair), _scalar_cell(cls.min_pt_eig), "",
+        _scalar_cell(cls.witness_delta), _scalar_cell(rec.cross_check_ok),
     ]) + "\r\n"
 
 
@@ -193,15 +197,13 @@ def cmd_survey(args) -> int:
     cross-validation mismatch is reported once the whole report is written."""
     counts = {}
     bad = []
+    row = _csv_row if args.format == "csv" else lambda rec: json.dumps(report_record(rec)) + "\n"
     try:
         with open(args.out, "w", newline="") as fh:
             if args.format == "csv":
                 fh.write(",".join(REPORT_FIELDS) + "\r\n")
             for rec in lattice.survey(cross_validate=args.cross_validate):
-                if args.format == "csv":
-                    fh.write(_csv_row(rec))
-                else:
-                    fh.write(json.dumps(report_record(rec)) + "\n")
+                fh.write(row(rec))
                 counts[rec.classification.tag] = counts.get(rec.classification.tag, 0) + 1
                 if rec.cross_check_ok is False:
                     bad.append(rec.mask)
@@ -292,13 +294,9 @@ def _verify_rows():
         sp = lattice.special_subset_point(example_mask(name))
         yield name, sp == point, f"special point {sp}, expected {point}"
 
-    cls = lattice.classify(example_mask("npt-11"))
-    yield "npt-11", cls.tag == "NptEntangled", f"tag {cls.tag}"
-
-    cls = lattice.classify(example_mask("open-11"))
-    yield "open-11", cls.tag == "Unknown", f"tag {cls.tag}"
-    cls = lattice.classify(example_mask("npt-10"))
-    yield "npt-10", cls.tag == "NptEntangled", f"tag {cls.tag}"
+    for name, tag in (("npt-11", "NptEntangled"), ("open-11", "Unknown"), ("npt-10", "NptEntangled")):
+        cls = lattice.classify(example_mask(name))
+        yield name, cls.tag == tag, f"tag {cls.tag}"
 
 
 def cmd_verify_thesis(args) -> int:

@@ -93,7 +93,8 @@ def _build_all_quadruples():
 ALL_QUADRUPLES = _build_all_quadruples()
 QUAD_MASKS = [states.points_mask(q) for q in ALL_QUADRUPLES]
 _QUADRUPLE = dict(zip(QUAD_MASKS, ALL_QUADRUPLES))  # mask -> point tuple
-_QUAD_MASK = dict(zip(ALL_QUADRUPLES, QUAD_MASKS))  # point tuple -> mask
+_QUAD_INDEX = {q: i for i, q in enumerate(ALL_QUADRUPLES)}  # point tuple -> index
+_QUAD_BITS = {q: [b for b in range(16) if q >> b & 1] for q in QUAD_MASKS}  # mask -> its 4 bit indices
 # _QUAD_TRANSLATE[i][s]: the index of the translate of quadruple i by ALL_POINTS[s]
 _QUAD_TRANSLATE = [[QUAD_MASKS.index(img) for img in _translates(q)] for q in QUAD_MASKS]
 _QUADS_THROUGH = [[q for q in QUAD_MASKS if q >> b & 1] for b in range(16)]  # per bit, the 15 quadruples through it
@@ -213,8 +214,11 @@ def _multicover(quads, I: int, M: int):
     """
     residual = [M] * 16
     weights = [0] * len(quads)
-    bits = [[b for b in range(16) if q >> b & 1] for q in quads]
-    through = [sum(1 << qi for qi, q in enumerate(quads) if q >> b & 1) for b in range(16)]
+    bits = [_QUAD_BITS[q] for q in quads]
+    through = [0] * 16  # per bit, the quadruples through it, as a bitset over indices into quads
+    for qi, q_bits in enumerate(bits):
+        for b in q_bits:
+            through[b] |= 1 << qi
 
     def place(qi, open_, usable):
         weights[qi] += 1
@@ -276,9 +280,7 @@ def uniform_covering(I: int):
     inside I, searched for M = 1..MAX_MULTIPLICITY; None if none exists
     in that range."""
     n = check_mask(I).bit_count()
-    quads = [q for q in QUAD_MASKS if q & I == q]
-    if not quads:  # also when I has fewer than 4 points
-        return None
+    quads = [q for q in QUAD_MASKS if q & I == q]  # with none, every search below fails
     for M in range(1, MAX_MULTIPLICITY + 1):
         if (M * n) % 4:
             continue
@@ -302,28 +304,26 @@ def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     reproduces the lattice state of I.  Every item must be a special
     quadruple (points as tuples, or lists as in a JSON report) of
     `all_quadruples()` with a positive integer weight."""
-    n = check_mask(I).bit_count()
+    check_mask(I)
     counts = [0] * 16
     items = [(tuple(tuple(p) if isinstance(p, list) else p for p in q), w) for q, w in covering.items]
     for q, w in items:
-        if q not in _QUAD_MASK:
+        if q not in _QUAD_INDEX:
             raise BadCovering(f"{q} is not a special quadruple")
-        if _QUAD_MASK[q] & ~I:
+        if QUAD_MASKS[_QUAD_INDEX[q]] & ~I:
             raise BadCovering("covering quadruple leaves the subset")
         if not isinstance(w, int) or w < 1:
             raise BadCovering(f"weight {w!r} is not a positive integer")
         for p in q:
             counts[point_bit(p)] += w
-    M = covering.multiplicity
+    M = covering.multiplicity  # uniform on I implies 4 N_Q = M N_I, as 4 points per quadruple
     if any((counts[b] != 0) != bool(I >> b & 1) or (I >> b & 1 and counts[b] != M) for b in range(16)):
         raise BadCovering("covering is not uniform on the subset")
-    if 4 * covering.total_weight != M * n:
-        raise BadCovering("weight total violates 4 N_Q = M N_I")
     total = covering.total_weight
     mix = np.zeros((16, 16), dtype=complex)
     all_ppt = True
     for q, w in items:
-        rho_q = states.lattice_state(_QUAD_MASK[q])
+        rho_q = states.lattice_state(QUAD_MASKS[_QUAD_INDEX[q]])
         mix += (w / total) * rho_q.mat
         if criteria.ppt_check(rho_q).detected:
             all_ppt = False
@@ -385,7 +385,7 @@ def _ppt_classification(I: int, sp, op, kc, canon: int, s: int, memo: dict) -> C
         return Classification("PptEntangled", fired, sp, op, kc, witness_delta=delta)
     if canon not in memo:
         cov = uniform_covering(canon)
-        memo[canon] = None if cov is None else (cov.multiplicity, [(ALL_QUADRUPLES.index(q), w) for q, w in cov.items])
+        memo[canon] = None if cov is None else (cov.multiplicity, [(_QUAD_INDEX[q], w) for q, w in cov.items])
     if memo[canon] is None:
         return Classification("Unknown", [])
     M, items = memo[canon]
@@ -457,19 +457,22 @@ def _block_canonical(m):
 
 def survey(masks=range(1, 1 << 16), cross_validate: bool = False):
     """Yield a record per mask, in the order given (by default every
-    nonempty subset), classifying in one process with one shared
-    covering memo.
+    nonempty subset), classifying in one process.  Within one survey the
+    coverings are searched once per least translate, and the NptEntangled
+    masks with the same point count and largest cross count share one
+    `Classification` object: treat records as read-only.  Nothing is shared
+    with another survey or with `classify`, which returns a new object.
 
     `masks` is read lazily, 4096 at a time, and the criteria of each
     block are computed in one numpy pass.  Every mask of a block goes
     through `check_mask` when the block is read, so a bad mask raises
     before the records of the earlier masks in its block are yielded."""
-    memo = {}
+    memo, npt = {}, lru_cache(maxsize=None)(_npt_classification)  # one NptEntangled record per (n, c)
     masks = iter(masks)
     while block := [check_mask(I) for I in islice(masks, _BLOCK)]:
         m = np.array(block, dtype=np.uint16)
         for I, n, c, sp, op, kc, canon, s in zip(block, *_block_criteria(m), *_block_canonical(m)):
-            cls = (_npt_classification(n, c) if 2 * c > n
+            cls = (npt(n, c) if 2 * c > n
                    else _ppt_classification(I, _POINT_AT[sp], _POINT_AT[op], _K_PAIR_AT[kc], canon, s, memo))
             rec = SurveyRecord(I, n, cls)
             if cross_validate:

@@ -15,7 +15,9 @@ Conventions fixed here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from operator import index
 
 import numpy as np
 
@@ -83,9 +85,6 @@ def word_flat_index(w) -> int:
     return idx
 
 
-_basis_cache: dict = {}
-
-
 def _basis_vectors(n: int) -> np.ndarray:
     """Rows (1 x sigma_w)|max symmetric> for the 4^n words in flat-index order."""
     d = 2**n
@@ -93,14 +92,13 @@ def _basis_vectors(n: int) -> np.ndarray:
     return np.array([linalg.tensor(np.eye(d), pauli.word_matrix(w)) @ plus for w in words(n)])
 
 
+@lru_cache(maxsize=None)  # one array per n, shared by every caller
 def _basis_projectors(n: int) -> np.ndarray:
     """Array of the 4^n rank-1 projectors (1 x sigma_w) P+ (1 x sigma_w)."""
     if n > 2:  # checked before allocating (4^n)^3 entries, 16 GiB at n = 5
         raise pauli.TooLarge("basis projectors are materialized for n <= 2 only")
-    if n not in _basis_cache:
-        B = _basis_vectors(n)
-        _basis_cache[n] = B[:, :, None] * B.conj()[:, None, :]
-    return _basis_cache[n]
+    B = _basis_vectors(n)
+    return B[:, :, None] * B.conj()[:, None, :]
 
 
 def _projector_sum(coeffs, n: int) -> np.ndarray:
@@ -140,9 +138,10 @@ def points_mask(points) -> int:
 
 
 def check_mask(mask: int) -> int:
-    """Return `mask` if it is a nonempty 16-bit lattice subset; raise
-    EmptySubset for 0 and OutOfRange outside 0x0001..0xffff."""
-    if not 0 < mask <= 0xFFFF:
+    """Return `mask`, as a Python int, if it is a nonempty 16-bit lattice
+    subset; raise TypeError for a mask that is not an integer (Python or
+    numpy; 3.0 too), EmptySubset for 0 and OutOfRange outside 0x0001..0xffff."""
+    if not 0 < (mask := index(mask)) <= 0xFFFF:
         if mask == 0:
             raise EmptySubset("empty lattice subset")
         raise OutOfRange(f"subset mask {mask:#x} outside 0x0001..0xffff")

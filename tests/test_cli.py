@@ -221,10 +221,17 @@ def test_text_tables_hold_the_json_of_their_values():
     assert len(cli._POINT_JSON) == 16
     for p, text in cli._POINT_JSON.items():
         assert text == json.dumps(list(p))
-    assert len(cli._ITEM_JSON) == 60
-    for q, text in cli._ITEM_JSON.items():
+    # covering items: the JSON with every quote doubled, as csv.writer
+    # writes it inside the quoted certificate cell
+    assert len(cli._ITEM_CSV) == 60
+    assert set(cli._ITEM_CSV) == set(lattice.all_quadruples())
+    for q, text in cli._ITEM_CSV.items():
         for w in range(1, lattice.MAX_MULTIPLICITY + 1):
-            assert text % w == json.dumps({"points": [list(p) for p in q], "weight": w})
+            item = json.dumps({"points": [list(p) for p in q], "weight": w})
+            assert (text % w).replace('""', '"') == item
+            buf = io.StringIO()
+            csv.writer(buf).writerow([item])
+            assert buf.getvalue() == f'"{text % w}"\r\n'
 
 
 def test_csv_row_is_what_csv_writer_writes():

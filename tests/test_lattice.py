@@ -366,6 +366,43 @@ def test_survey_checks_every_mask_before_its_block():
             next(lattice.survey([0x0001, mask]))
 
 
+def test_survey_and_classify_reject_masks_that_are_not_integers():
+    # a uint16 cast would read 1.5 as mask 0x0001 and 3.0 as 0x0003
+    for mask in (1.5, 3.0, np.float64(3)):
+        raised = []
+        for run in (lambda: lattice.classify(mask), lambda: next(lattice.survey([0x0001, mask]))):
+            with pytest.raises(TypeError) as info:
+                run()
+            raised.append(info.type)
+        assert raised[0] is raised[1]
+    # numpy integer masks are read as the Python ints they hold
+    for mask in (np.int64(0x0003), np.uint16(0x0033), np.uint16(0x0777), np.int32(0xF587)):
+        assert states.check_mask(mask) == int(mask) and type(states.check_mask(mask)) is int
+        assert lattice.classify(mask) == lattice.classify(int(mask))
+        rec = next(lattice.survey([mask]))
+        assert type(rec.mask) is int and rec.classification == lattice.classify(int(mask))
+
+
+def test_survey_shares_npt_records_within_one_survey_only():
+    recs = list(lattice.survey(range(1, 0x400)))
+    npt = {}
+    for rec in recs:
+        cls = rec.classification
+        if cls.tag == "NptEntangled":  # (n, min eigenvalue) fixes the largest cross count
+            assert npt.setdefault((rec.n_points, cls.min_pt_eig), cls) is cls
+    assert len(npt) < sum(rec.classification.tag == "NptEntangled" for rec in recs)
+    # classify builds a new record on every call, shared with no survey
+    shared = recs[0x0003 - 1].classification
+    assert shared.tag == "NptEntangled"
+    fresh = lattice.classify(0x0003)
+    assert fresh == shared and fresh is not shared and fresh is not lattice.classify(0x0003)
+    shared.min_pt_eig = 99.0
+    shared.criteria_fired.append("mutated")
+    assert lattice.classify(0x0003) == fresh
+    again = next(lattice.survey([0x0003]))
+    assert again.classification == fresh and again.classification is not shared
+
+
 def test_survey_reads_its_masks_one_block_at_a_time():
     pulled = 0
 
