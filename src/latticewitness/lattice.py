@@ -7,17 +7,18 @@ A subset I of the lattice is a 16-bit mask with bit 4*beta + alpha set
 for point (alpha, beta).  Inside this module subsets, quadruples and
 points are masks and bit indices; point tuples appear only where the
 public API takes or returns them, converted by `point_bit` (point to
-bit) and `ALL_POINTS[b]` (bit to point).  All criteria below are exact
-integer combinatorics on one table, the cross counts of `_cross_counts`.
-The minimum partial-transpose eigenvalue of an NPT subset is the closed
-form (N - 2c)/(4N), c the largest cross count; `pt_min_eig` computes it
+bit) and `ALL_POINTS[b]` (bit to point).  The criteria are exact
+integer combinatorics, written once in `_criteria` for an array of
+masks; the functions for one mask read its row.  The minimum
+partial-transpose eigenvalue of an NPT subset is the closed form
+(N - 2c)/(4N), c the largest cross count; `pt_min_eig` computes it
 with numpy.linalg as an independent oracle for cross-validation only.
 A lattice translation tau_t XORs each point's bit index with that of t,
 and the special quadruples are the translates of the 15 planes
 {0, a, b, a^b} of bit indices whose words commute.
-`survey` computes the same criteria and the least translates of 4096 masks
-at a time with numpy, then builds each record with the tag dispatch that
-`classify` runs, so a mask gets the same classification from either.
+`survey` runs `_criteria` and the least translates on 4096 masks at a
+time, then builds each record with the tag dispatch that `classify`
+runs, so a mask gets the same classification from either.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
+from operator import index
 
 import numpy as np
 
@@ -44,14 +46,14 @@ def point_bit(p) -> int:
     return 4 * p[1] + p[0]
 
 
-def _check_bits(mask: int) -> None:
-    if not 0 <= mask <= 0xFFFF:
+def _check_bits(mask: int) -> int:  # the mask as a Python int; 0 is allowed
+    if not 0 <= (mask := index(mask)) <= 0xFFFF:
         raise states.OutOfRange(f"mask {mask:#x} outside 0x0000..0xffff")
+    return mask
 
 
 def popcount(mask: int) -> int:
-    _check_bits(mask)
-    return mask.bit_count()
+    return _check_bits(mask).bit_count()
 
 
 # Per bit k of a point index: the swap of adjacent k-bit blocks, as
@@ -73,7 +75,7 @@ def translate_mask(t, mask: int) -> int:
     """Image of a subset mask under the lattice translation tau_t, which
     moves bit i to bit i ^ point_bit(t) (Pauli product indices XOR): one
     swap of adjacent k-bit blocks per set bit k of point_bit(t)."""
-    _check_bits(mask)
+    mask = _check_bits(mask)
     s = point_bit(t)
     for k, lo in _BLOCK_SWAPS:
         if s & k:
@@ -129,22 +131,49 @@ def is_special(points) -> bool:
     return states.points_mask(points) in _QUADRUPLE
 
 
-# Per bit 4*beta + alpha: the row plus column through (alpha, beta), the
-# point itself excluded.
-_CROSS = [(0xF << (b & 12) | 0x1111 << (b & 3)) & ~(1 << b) for b in range(16)]
+# Per bit b = 4*beta + alpha, as uint16 columns: the bit itself, its
+# cross (the row plus column through (alpha, beta), the point itself
+# excluded), and the bit of the k-pair index j = 4*mu + nu whose pivot
+# (mu+2, nu+2) is b; and the special quadruples.
+_BIT = np.array([[1 << b] for b in range(16)], dtype=np.uint16)
+_CROSS = np.array([[(0xF << (b & 12) | 0x1111 << (b & 3)) & ~(1 << b)] for b in range(16)], dtype=np.uint16)
+_K_BIT = np.array([[1 << ((4 * (b & 3) + (b >> 2)) ^ 10)] for b in range(16)], dtype=np.uint16)
+_QUADS = np.array(QUAD_MASKS, dtype=np.uint16)[:, None]
+# Bit index (16 for none) -> point, and k-pair index -> (mu, nu).
+_POINT_AT = ALL_POINTS + [None]
+_K_PAIR_AT = [(j >> 2, j & 3) for j in range(16)] + [None]
 
 
-@lru_cache(maxsize=1)  # the criteria of one mask share one table
-def _cross_counts(I: int) -> tuple:
-    """Per bit: the points of I on the cross `_CROSS` of that bit."""
-    return tuple([(I & m).bit_count() for m in _CROSS])
+def _criteria(m):
+    """Per mask of the uint16 array m, as lists: the point count, the
+    largest cross count, and the bit index of the special point, of the
+    one-point point and the k-pair index, each the lowest and 16 for
+    none, as `special_subset_point`, `entangled_one_point` and
+    `k_criterion` report them on a PPT mask.  The temporaries are 2-D,
+    one row per cross or per quadruple and one column per mask."""
+    counts = np.bitwise_count(_CROSS & m)  # points of m on each cross
+    one = counts == 1
+    c1 = np.bitwise_or.reduce(one * _BIT, axis=0)  # the bits whose cross meets m once
+    k_hits = np.bitwise_or.reduce(one * _K_BIT, axis=0)  # the k-pair indices whose pivot is in c1
+    covered = np.bitwise_or.reduce(((m & _QUADS) == _QUADS) * _QUADS, axis=0)
+    # lowest set bit, 16 for none: the bits below it, counted in (v & -v) - 1
+    lows = [np.bitwise_count((v & -v) - 1).tolist() for v in (m & ~covered, c1 & ~m, k_hits)]
+    return np.bitwise_count(m).tolist(), counts.max(0).tolist(), *lows
+
+
+@lru_cache(maxsize=1)  # the criteria of one mask share one row
+def _criteria_row(I: int) -> tuple:
+    """`_criteria` of the one mask I: (n, c, special point, one-point
+    point, k pair), each of the last three None when absent."""
+    n, c, sp, op, kc = (col[0] for col in _criteria(np.array([I], dtype=np.uint16)))
+    return n, c, _POINT_AT[sp], _POINT_AT[op], _K_PAIR_AT[kc]
 
 
 def ppt_combinatorial(I: int) -> bool:
     """Exact PPT test: every lattice point sees at most N_I/2 subset
     points on its row plus column (the point itself excluded)."""
-    check_mask(I)
-    return 2 * max(_cross_counts(I)) <= I.bit_count()
+    n, c = _criteria_row(check_mask(I))[:2]
+    return 2 * c <= n
 
 
 def entangled_one_point(I: int):
@@ -154,8 +183,7 @@ def entangled_one_point(I: int):
     """
     if not ppt_combinatorial(I):
         raise NotPpt("one-point criterion applies to PPT subsets only")
-    counts = _cross_counts(I)
-    return next((ALL_POINTS[b] for b in range(16) if not I >> b & 1 and counts[b] == 1), None)
+    return _criteria_row(check_mask(I))[3]
 
 
 def k_criterion(I: int):
@@ -168,9 +196,7 @@ def k_criterion(I: int):
     """
     if not ppt_combinatorial(I):
         raise NotPpt("k-criterion applies to PPT subsets only")
-    counts = _cross_counts(I)
-    return next(((mu, nu) for mu in range(4) for nu in range(4)
-                 if counts[point_bit(((mu + 2) % 4, (nu + 2) % 4))] == 1), None)
+    return _criteria_row(check_mask(I))[4]
 
 
 def special_subset_point(I: int):
@@ -179,11 +205,7 @@ def special_subset_point(I: int):
 
     Presence makes I a special subset: its lattice state is entangled.
     """
-    rest = check_mask(I)
-    for q in QUAD_MASKS:
-        if q & I == q:
-            rest &= ~q
-    return ALL_POINTS[(rest & -rest).bit_length() - 1] if rest else None
+    return _criteria_row(check_mask(I))[2]
 
 
 @dataclass
@@ -279,10 +301,10 @@ def uniform_covering(I: int):
     """Minimal-multiplicity uniform covering of I by special quadruples
     inside I, searched for M = 1..MAX_MULTIPLICITY; None if none exists
     in that range."""
-    n = check_mask(I).bit_count()
+    I = check_mask(I)
     quads = [q for q in QUAD_MASKS if q & I == q]  # with none, every search below fails
     for M in range(1, MAX_MULTIPLICITY + 1):
-        if (M * n) % 4:
+        if (M * I.bit_count()) % 4:
             continue
         weights = _multicover(quads, I, M)
         if weights is not None:
@@ -304,7 +326,7 @@ def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     reproduces the lattice state of I.  Every item must be a special
     quadruple (points as tuples, or lists as in a JSON report) of
     `all_quadruples()` with a positive integer weight."""
-    check_mask(I)
+    I = check_mask(I)
     counts = [0] * 16
     items = [(tuple(tuple(p) if isinstance(p, list) else p for p in q), w) for q, w in covering.items]
     for q, w in items:
@@ -363,8 +385,9 @@ def classify(I: int) -> Classification:
     covering is searched on the translation-canonical mask and moved
     back onto I.
     """
+    I = check_mask(I)
     if not ppt_combinatorial(I):
-        return _npt_classification(I.bit_count(), max(_cross_counts(I)))
+        return _npt_classification(*_criteria_row(I)[:2])
     canon, t = canonical_mask(I)
     hits = special_subset_point(I), entangled_one_point(I), k_criterion(I)
     return _ppt_classification(I, *hits, canon, point_bit(t), {})
@@ -412,40 +435,6 @@ class SurveyRecord:
 
 # Masks per numpy pass of `survey`.
 _BLOCK = 4096
-# As uint16 scalars: per bit b, the bit itself, its cross, and the bit of
-# the k-pair index j = 4*mu + nu whose pivot (mu+2, nu+2) is b; and the
-# special quadruples.
-_BIT_U16 = np.array([1 << b for b in range(16)], dtype=np.uint16)
-_CROSS_U16 = np.array(_CROSS, dtype=np.uint16)
-_K_BIT_U16 = np.array([1 << ((4 * (b & 3) + (b >> 2)) ^ 10) for b in range(16)], dtype=np.uint16)
-_QUADS_U16 = np.array(QUAD_MASKS, dtype=np.uint16)
-# Bit index (16 for none) -> point, and k-pair index -> (mu, nu).
-_POINT_AT = ALL_POINTS + [None]
-_K_PAIR_AT = [(j >> 2, j & 3) for j in range(16)] + [None]
-
-
-def _block_criteria(m):
-    """Per mask of the uint16 array m, as lists: the point count, the
-    largest cross count, and the bit indices of the special point and
-    the one-point point and the k-pair index, each the lowest and 16
-    for none, as `special_subset_point`, `entangled_one_point` and
-    `k_criterion` find them on a PPT mask.  One cross and one quadruple
-    at a time, so that every temporary is the size of the block."""
-    c = np.zeros(len(m), np.uint8)
-    c1 = np.zeros_like(m)  # the bits whose cross meets m once
-    k_hits = np.zeros_like(m)  # the k-pair indices whose pivot is in c1
-    for bit, cross, k_bit in zip(_BIT_U16, _CROSS_U16, _K_BIT_U16):
-        counts = np.bitwise_count(m & cross)
-        np.maximum(c, counts, out=c)
-        one = counts == 1
-        c1 |= one * bit
-        k_hits |= one * k_bit
-    covered = np.zeros_like(m)
-    for q in _QUADS_U16:
-        covered |= ((m & q) == q) * q
-    # lowest set bit, 16 for none: the bits below it, counted in (v & -v) - 1
-    lows = [np.bitwise_count((v & -v) - 1).tolist() for v in (m & ~covered, c1 & ~m, k_hits)]
-    return np.bitwise_count(m).tolist(), c.tolist(), *lows
 
 
 def _block_canonical(m):
@@ -471,7 +460,7 @@ def survey(masks=range(1, 1 << 16), cross_validate: bool = False):
     masks = iter(masks)
     while block := [check_mask(I) for I in islice(masks, _BLOCK)]:
         m = np.array(block, dtype=np.uint16)
-        for I, n, c, sp, op, kc, canon, s in zip(block, *_block_criteria(m), *_block_canonical(m)):
+        for I, n, c, sp, op, kc, canon, s in zip(block, *_criteria(m), *_block_canonical(m)):
             cls = (npt(n, c) if 2 * c > n
                    else _ppt_classification(I, _POINT_AT[sp], _POINT_AT[op], _K_PAIR_AT[kc], canon, s, memo))
             rec = SurveyRecord(I, n, cls)

@@ -154,12 +154,9 @@ def lattice_indicator(mask: int) -> np.ndarray:
     return np.array([mask >> (4 * (w % 4) + w // 4) & 1 for w in range(16)], dtype=float)
 
 
-def lattice_state(subset) -> DensityMatrix:
-    """Uniform sigma-diagonal state on a subset of the 4x4 lattice.
-
-    `subset` is a 16-bit mask or an iterable of (alpha, beta) points.
-    """
-    ind = lattice_indicator(check_mask(subset if isinstance(subset, int) else points_mask(subset)))
+def lattice_state(mask: int) -> DensityMatrix:
+    """Uniform sigma-diagonal state on the lattice subset of a 16-bit mask."""
+    ind = lattice_indicator(check_mask(mask))
     return DensityMatrix(_projector_sum(ind, 2) / ind.sum(), (4, 4))
 
 

@@ -246,19 +246,35 @@ def test_bit_helpers_match_their_definitions():
 
 
 def test_cross_counts_match_a_recount_from_points():
-    # the table is cached for the last mask asked, so masks are asked in
-    # alternation: a stale entry would be returned for the wrong mask
-    def recount(I):
-        pts = states.mask_points(I)
-        return tuple(sum((a == alpha) + (b == beta) for a, b in pts) - 2 * ((alpha, beta) in pts)
-                     for alpha, beta in lattice.ALL_POINTS)
+    # the criteria kernel against a recount from point tuples on every
+    # mask: the point count, the largest cross count (row plus column,
+    # the point itself excluded), the special point, the one-point point
+    # and the k pair, each the first in bit order.  The single-mask row
+    # is cached for the last mask asked, so masks are asked in
+    # alternation: a stale entry would be returned for the wrong mask.
+    # The kernel run on all masks at once gives the same rows.
+    quads = [frozenset(q) for q in lattice.all_quadruples()]
 
+    def recount(I):
+        pts = set(states.mask_points(I))
+        cross = {(alpha, beta): sum((a == alpha) + (b == beta) for a, b in pts) - 2 * ((alpha, beta) in pts)
+                 for alpha, beta in lattice.ALL_POINTS}
+        covered = set().union(*(q for q in quads if q <= pts))
+        return (len(pts), max(cross.values()),
+                next((p for p in lattice.ALL_POINTS if p in pts and p not in covered), None),
+                next((p for p in lattice.ALL_POINTS if p not in pts and cross[p] == 1), None),
+                next(((mu, nu) for mu in range(4) for nu in range(4)
+                      if cross[((mu + 2) % 4, (nu + 2) % 4)] == 1), None))
+
+    masks = range(1, 1 << 16)
+    block = lattice._criteria(np.array(masks, dtype=np.uint16))
     prev, ref_prev = 0xFFFF, recount(0xFFFF)
-    for I in range(1, 1 << 16):
+    for I, n, c, sp, op, kc in zip(masks, *block):
         ref = recount(I)
-        assert lattice._cross_counts(I) == ref
-        assert lattice._cross_counts(prev) == ref_prev
-        assert lattice._cross_counts(I) == ref
+        assert lattice._criteria_row(I) == ref
+        assert lattice._criteria_row(prev) == ref_prev
+        assert lattice._criteria_row(I) == ref
+        assert (n, c, lattice._POINT_AT[sp], lattice._POINT_AT[op], lattice._K_PAIR_AT[kc]) == ref
         prev, ref_prev = I, ref
 
 
@@ -340,8 +356,10 @@ def test_classify_with_witness():
 
 
 def test_survey_sample_matches_classify():
-    # the survey's block kernel against the scalar criteria of classify,
-    # on every mask
+    # survey and classify read one criteria kernel; what differs is the
+    # dispatch (survey tags NPT masks in its block loop and shares their
+    # records) and the covering memo kept across the masks of a survey,
+    # checked here on every mask
     for rec in lattice.survey():
         assert rec.classification == lattice.classify(rec.mask)
         assert rec.n_points == lattice.popcount(rec.mask)
@@ -381,6 +399,31 @@ def test_survey_and_classify_reject_masks_that_are_not_integers():
         assert lattice.classify(mask) == lattice.classify(int(mask))
         rec = next(lattice.survey([mask]))
         assert type(rec.mask) is int and rec.classification == lattice.classify(int(mask))
+
+
+def test_every_entry_point_reads_numpy_integer_masks():
+    # a numpy integer mask gives the result of the Python int it holds,
+    # masks in results are Python ints, and a float is not a mask
+    sep, ppt_ent, npt = 0x0777, cli.example_mask("one-point-8"), cli.example_mask("npt-5")
+    cov = lattice.uniform_covering(sep)
+    some = (sep, ppt_ent, npt)
+    for fn, masks in ((lattice.classify, some), (lattice.ppt_combinatorial, some),
+                      (lattice.special_subset_point, some), (lattice.entangled_one_point, (sep, ppt_ent)),
+                      (lattice.k_criterion, (sep, ppt_ent)), (lattice.uniform_covering, (sep,)),
+                      (lambda m: lattice.separability_certificate(m, cov), (sep,)),
+                      (lattice.canonical_mask, some), (lattice.pt_min_eig, some),
+                      (lambda m: states.lattice_state(m).mat.tolist(), some),
+                      (lambda m: lattice.exact_delta(m, states.mask_points(m)[-1]), some),
+                      (lattice.popcount, some), (lambda m: lattice.translate_mask((1, 2), m), some)):
+        for mask in masks:
+            want = fn(mask)
+            for typed in (np.int64(mask), np.uint16(mask), np.int32(mask)):
+                got = fn(typed)
+                assert got == want and type(got) is type(want)
+        with pytest.raises(TypeError):
+            fn(1.5)
+    assert type(lattice.translate_mask((1, 0), np.uint16(3))) is int
+    assert all(type(lattice.canonical_mask(typed)[0]) is int for typed in (np.int64(6), np.uint16(6)))
 
 
 def test_survey_shares_npt_records_within_one_survey_only():
