@@ -103,7 +103,7 @@ def witness_value(W: Witness, rho: states.DensityMatrix) -> float:
 
 def _check_point(I: int, p) -> None:
     states.check_mask(I)
-    if p not in states.mask_points(I):
+    if tuple(p) not in states.mask_points(I):  # a JSON point is a list
         raise PointNotInSubset(f"{p} not in subset {I:#06x}")
 
 

@@ -16,16 +16,16 @@ with numpy.linalg as an independent oracle for cross-validation only.
 A lattice translation tau_t XORs each point's bit index with that of t,
 and the special quadruples are the translates of the 15 planes
 {0, a, b, a^b} of bit indices whose words commute.
-`survey` runs `_criteria` and the least translates on 4096 masks at a
-time, then builds each record with the tag dispatch that `classify`
-runs, so a mask gets the same classification from either.
+`survey` sweeps masks 1..0xffff in 4096-mask blocks, running `_criteria`
+and the least translates once per block, then builds each record with
+the tag dispatch that `classify` runs, so a mask gets the same
+classification from either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from operator import index
 
 import numpy as np
@@ -444,23 +444,18 @@ def _block_canonical(m):
     return imgs.min(0).tolist(), imgs.argmin(0).tolist()
 
 
-def survey(masks=range(1, 1 << 16), cross_validate: bool = False):
-    """Yield a record per mask, in the order given (by default every
-    nonempty subset), classifying in one process.  Within one survey the
-    coverings are searched once per least translate, and the NptEntangled
-    masks with the same point count and largest cross count share one
-    `Classification` object: treat records as read-only.  Nothing is shared
-    with another survey or with `classify`, which returns a new object.
-
-    `masks` is read lazily, 4096 at a time, and the criteria of each
-    block are computed in one numpy pass.  Every mask of a block goes
-    through `check_mask` when the block is read, so a bad mask raises
-    before the records of the earlier masks in its block are yielded."""
+def survey(*, cross_validate: bool = False):
+    """Yield a record per nonempty subset, masks 1..0xffff in order,
+    classifying in one process.  Within one survey the coverings are
+    searched once per least translate, and the NptEntangled masks with
+    the same point count and largest cross count share one
+    `Classification` object: treat records as read-only.  Nothing is
+    shared with another survey or with `classify`, which returns a new
+    object."""
     memo, npt = {}, lru_cache(maxsize=None)(_npt_classification)  # one NptEntangled record per (n, c)
-    masks = iter(masks)
-    while block := [check_mask(I) for I in islice(masks, _BLOCK)]:
-        m = np.array(block, dtype=np.uint16)
-        for I, n, c, sp, op, kc, canon, s in zip(block, *_criteria(m), *_block_canonical(m)):
+    for lo in range(1, 1 << 16, _BLOCK):
+        m = np.arange(lo, min(lo + _BLOCK, 1 << 16), dtype=np.uint16)
+        for I, n, c, sp, op, kc, canon, s in zip(m.tolist(), *_criteria(m), *_block_canonical(m)):
             cls = (npt(n, c) if 2 * c > n
                    else _ppt_classification(I, _POINT_AT[sp], _POINT_AT[op], _K_PAIR_AT[kc], canon, s, memo))
             rec = SurveyRecord(I, n, cls)
@@ -472,6 +467,6 @@ def survey(masks=range(1, 1 << 16), cross_validate: bool = False):
 
 
 def survey_all(cross_validate: bool = False, *, workers: int = 1):
-    """The records of `survey` over every nonempty subset, as a list in
-    mask order.  `workers` is accepted for compatibility and ignored."""
+    """Every record of one `survey`, as a list in mask order.  `workers`
+    is accepted for compatibility and ignored."""
     return list(survey(cross_validate=cross_validate))

@@ -49,10 +49,6 @@ class DensityMatrix:
     mat: np.ndarray
     dims: tuple  # (d1, d2)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
 
 def assert_density(rho: DensityMatrix) -> None:
     """Raise if rho is not Hermitian, unit-trace and PSD within tolerance."""

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import latticewitness
-from latticewitness import cli, lattice, maps
+from latticewitness import cli, criteria, lattice, maps, states
 
 
 def test_pattern_round_trip_all_masks():
@@ -65,6 +65,18 @@ def test_classify_json_certificate_verifies(capsys):
     rec = lattice.separability_certificate(mask, cov)
     assert rec.reconstruction_error < 1e-12 and rec.all_quadruple_states_ppt
     assert rec.weights == [(q, w / 5) for q, w in lattice.classify(mask).covering.items]
+
+
+def test_classify_json_witness_rechecks_at_its_special_point(capsys):
+    # the report gives the special point as a list; the witness must re-check as read
+    mask = 0xF587
+    assert cli.main(["classify", "--mask", f"{mask:#06x}", "--json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    p, delta = rec["special_point"], rec["witness_delta"]
+    assert p == [3, 3] and lattice.exact_delta(mask, p) == delta
+    W = criteria.diagonal_lattice_witness(mask, p, delta)
+    value = criteria.witness_value(W, states.lattice_state(mask))
+    assert abs(value + delta / (4 * rec["n_points"])) < 1e-12
 
 
 def test_classify_human_output(capsys):

@@ -359,46 +359,53 @@ def test_survey_sample_matches_classify():
     # survey and classify read one criteria kernel; what differs is the
     # dispatch (survey tags NPT masks in its block loop and shares their
     # records) and the covering memo kept across the masks of a survey,
-    # checked here on every mask
-    for rec in lattice.survey():
+    # checked here on every mask, as is the exact NPT eigenvalue against
+    # numpy.linalg
+    for rec in lattice.survey(cross_validate=True):
         assert rec.classification == lattice.classify(rec.mask)
         assert rec.n_points == lattice.popcount(rec.mask)
-        assert rec.cross_check_ok is None
-    # cross-validated on a sample: 0x0bff, 0x0dff and 0x0eff are the
-    # first masks whose direct covering search differs from the
-    # translated covering of their canonical mask
-    masks = list(range(1, 200)) + [0x0BFF, 0x0DFF, 0x0EFF]
-    recs = list(lattice.survey(masks, True))
-    assert [rec.mask for rec in recs] == masks
-    for rec in recs:
-        assert rec.classification == lattice.classify(rec.mask)
         assert rec.cross_check_ok
+    assert next(lattice.survey()).cross_check_ok is None
 
 
-def test_survey_checks_every_mask_before_its_block():
-    # a uint16 cast would wrap 0x10000 to 0x0000 and 0x1ffff and -1 to
-    # 0xffff; the bad mask raises before the record of 0x0001 is yielded
-    for mask, error in ((0, states.EmptySubset), (0x10000, states.OutOfRange),
-                        (0x1FFFF, states.OutOfRange), (-1, states.OutOfRange)):
-        with pytest.raises(error):
-            next(lattice.survey([0x0001, mask]))
+def test_every_survey_covering_is_uniform_on_its_mask():
+    # an integer recount, apart from `separability_certificate`: every item
+    # is a special quadruple inside the mask with a positive int weight,
+    # and covers each point of the mask `multiplicity` times, no other point
+    special = set(lattice.all_quadruples())
+    separable = 0
+    for rec in lattice.survey():
+        cov = rec.classification.covering
+        if rec.classification.tag != "Separable":
+            assert cov is None
+            continue
+        separable += 1
+        points = set(states.mask_points(rec.mask))
+        counts = dict.fromkeys(lattice.ALL_POINTS, 0)
+        for q, w in cov.items:
+            assert q in special and points.issuperset(q)
+            assert type(w) is int and w > 0
+            for p in q:
+                counts[p] += w
+        assert all(k == (cov.multiplicity if p in points else 0) for p, k in counts.items())
+    assert separable == 8735
 
 
 def test_survey_and_classify_reject_masks_that_are_not_integers():
     # a uint16 cast would read 1.5 as mask 0x0001 and 3.0 as 0x0003
     for mask in (1.5, 3.0, np.float64(3)):
-        raised = []
-        for run in (lambda: lattice.classify(mask), lambda: next(lattice.survey([0x0001, mask]))):
-            with pytest.raises(TypeError) as info:
-                run()
-            raised.append(info.type)
-        assert raised[0] is raised[1]
+        with pytest.raises(TypeError):
+            lattice.classify(mask)
     # numpy integer masks are read as the Python ints they hold
     for mask in (np.int64(0x0003), np.uint16(0x0033), np.uint16(0x0777), np.int32(0xF587)):
         assert states.check_mask(mask) == int(mask) and type(states.check_mask(mask)) is int
         assert lattice.classify(mask) == lattice.classify(int(mask))
-        rec = next(lattice.survey([mask]))
-        assert type(rec.mask) is int and rec.classification == lattice.classify(int(mask))
+    # the survey takes no masks: it sweeps the lattice, its record masks
+    # Python ints in order
+    with pytest.raises(TypeError):
+        lattice.survey(range(3))
+    masks = [rec.mask for rec in lattice.survey()]
+    assert masks == list(range(1, 1 << 16)) and all(type(mask) is int for mask in masks)
 
 
 def test_every_entry_point_reads_numpy_integer_masks():
@@ -427,7 +434,7 @@ def test_every_entry_point_reads_numpy_integer_masks():
 
 
 def test_survey_shares_npt_records_within_one_survey_only():
-    recs = list(lattice.survey(range(1, 0x400)))
+    recs = list(itertools.islice(lattice.survey(), 0x3FF))
     npt = {}
     for rec in recs:
         cls = rec.classification
@@ -442,21 +449,24 @@ def test_survey_shares_npt_records_within_one_survey_only():
     shared.min_pt_eig = 99.0
     shared.criteria_fired.append("mutated")
     assert lattice.classify(0x0003) == fresh
-    again = next(lattice.survey([0x0003]))
+    again = list(itertools.islice(lattice.survey(), 3))[-1]
+    assert again.mask == 0x0003
     assert again.classification == fresh and again.classification is not shared
 
 
-def test_survey_reads_its_masks_one_block_at_a_time():
-    pulled = 0
+def test_survey_reads_its_masks_one_block_at_a_time(monkeypatch):
+    # the criteria of a 4096-mask block are computed when its first
+    # record is asked for, not before
+    blocks = []
+    kernel = lattice._criteria
 
-    def masks():
-        nonlocal pulled
-        for mask in range(1, 1 << 16):
-            pulled += 1
-            yield mask
+    def counting(m):
+        blocks.append(len(m))
+        return kernel(m)
 
-    next(lattice.survey(masks()))
-    assert pulled <= 4096
-    pulled = 0
-    assert len(list(itertools.islice(lattice.survey(masks()), 5000))) == 5000
-    assert pulled <= 2 * 4096
+    monkeypatch.setattr(lattice, "_criteria", counting)
+    next(lattice.survey())
+    assert blocks == [4096]
+    blocks.clear()
+    assert len(list(itertools.islice(lattice.survey(), 5000))) == 5000
+    assert blocks == [4096, 4096]
