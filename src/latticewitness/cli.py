@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 parse/usage error, 3 verification failure,
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -58,10 +59,10 @@ def render_pattern(mask: int) -> str:
 
 
 def _parse_mask(text: str) -> int:
-    try:
-        mask = int(text, 16)
-    except ValueError:
+    # int(text, 16) alone also takes "_" separators, signs, padding and non-ASCII digits
+    if not re.fullmatch(r"(0[xX])?[0-9a-fA-F]+", text):
         raise ParseError(f"not a hex mask: {text!r}")
+    mask = int(text, 16)
     if not 1 <= mask <= 0xFFFF:
         raise ParseError(f"mask out of range (0x0001..0xffff): {text}")
     return mask
@@ -77,11 +78,11 @@ def _covering_json(cov):
 
 
 # JSON text of each point (k_pair values are points too), and the JSON
-# of each covering item, with its weight left to format in and every
-# quote doubled as in a quoted CSV cell.
+# of each covering item (quadruple, weight), every quote doubled as in a
+# quoted CSV cell; a weight is at most the multiplicity.
 _POINT_JSON = {p: json.dumps(list(p)) for p in lattice.ALL_POINTS}
-_ITEM_CSV = {q: '{""points"": %s, ""weight"": %%d}' % json.dumps([list(p) for p in q])
-             for q in lattice.ALL_QUADRUPLES}
+_ITEM_CSV = {(q, w): '{""points"": %s, ""weight"": %d}' % (json.dumps([list(p) for p in q]), w)
+             for q in lattice.ALL_QUADRUPLES for w in range(1, lattice.MAX_MULTIPLICITY + 1)}
 # The NptEntangled row after its pattern, per (min_pt_eig, cross_check_ok).
 _NPT_TAIL = {}
 
@@ -136,7 +137,7 @@ def _csv_row(rec: lattice.SurveyRecord) -> str:
         return head + _NPT_TAIL[key]
     cov = cls.covering
     if cov is not None:  # Separable: no criteria fired, no points, eigenvalue or delta
-        items = ", ".join([_ITEM_CSV[q] % w for q, w in cov.items])
+        items = ", ".join([_ITEM_CSV[item] for item in cov.items])
         return (f'{head}Separable,,,,,,"{{""multiplicity"": {cov.multiplicity}, ""quadruples"": [{items}]}}",,'
                 f"{_scalar_cell(rec.cross_check_ok)}\r\n")
     fired = ",".join(cls.criteria_fired)

@@ -16,10 +16,10 @@ with numpy.linalg as an independent oracle for cross-validation only.
 A lattice translation tau_t XORs each point's bit index with that of t,
 and the special quadruples are the translates of the 15 planes
 {0, a, b, a^b} of bit indices whose words commute.
-`survey` sweeps masks 1..0xffff in 4096-mask blocks, running `_criteria`
-and the least translates once per block, then builds each record with
-the tag dispatch that `classify` runs, so a mask gets the same
-classification from either.
+`survey` sweeps masks 1..0xffff in 4096-mask blocks: it counts every
+mask's points and largest cross count, all an NPT record needs, runs
+the rest of `_criteria` and the least translates on PPT masks only,
+and builds each record with the tag dispatch that `classify` runs.
 """
 
 from __future__ import annotations
@@ -119,7 +119,11 @@ def exact_delta(I: int, p) -> float:
     identity or by an explicit decomposition (both proved for every
     point in tests/test_criteria.py)."""
     criteria._check_point(I, p)
-    return 4.0 - max((q & I).bit_count() for q in _QUADS_THROUGH[point_bit(p)])
+    return _delta_at(I, point_bit(p))
+
+
+def _delta_at(I: int, b: int) -> float:  # exact_delta at bit b of I, unchecked
+    return 4.0 - max((q & I).bit_count() for q in _QUADS_THROUGH[b])
 
 
 def all_quadruples() -> list:
@@ -146,9 +150,9 @@ _K_PAIR_AT = [(j >> 2, j & 3) for j in range(16)] + [None]
 
 def _criteria(m):
     """Per mask of the uint16 array m, as lists: the point count, the
-    largest cross count, and the bit index of the special point, of the
-    one-point point and the k-pair index, each the lowest and 16 for
-    none, as `special_subset_point`, `entangled_one_point` and
+    largest cross count, the special point, the one-point point and the
+    k pair, each the lowest by bit or k-pair index and None when
+    absent, as `special_subset_point`, `entangled_one_point` and
     `k_criterion` report them on a PPT mask.  The temporaries are 2-D,
     one row per cross or per quadruple and one column per mask."""
     counts = np.bitwise_count(_CROSS & m)  # points of m on each cross
@@ -157,16 +161,16 @@ def _criteria(m):
     k_hits = np.bitwise_or.reduce(one * _K_BIT, axis=0)  # the k-pair indices whose pivot is in c1
     covered = np.bitwise_or.reduce(((m & _QUADS) == _QUADS) * _QUADS, axis=0)
     # lowest set bit, 16 for none: the bits below it, counted in (v & -v) - 1
-    lows = [np.bitwise_count((v & -v) - 1).tolist() for v in (m & ~covered, c1 & ~m, k_hits)]
-    return np.bitwise_count(m).tolist(), counts.max(0).tolist(), *lows
+    sp, op, kc = (np.bitwise_count((v & -v) - 1).tolist() for v in (m & ~covered, c1 & ~m, k_hits))
+    return (np.bitwise_count(m).tolist(), counts.max(0).tolist(),
+            [_POINT_AT[b] for b in sp], [_POINT_AT[b] for b in op], [_K_PAIR_AT[j] for j in kc])
 
 
 @lru_cache(maxsize=1)  # the criteria of one mask share one row
 def _criteria_row(I: int) -> tuple:
     """`_criteria` of the one mask I: (n, c, special point, one-point
     point, k pair), each of the last three None when absent."""
-    n, c, sp, op, kc = (col[0] for col in _criteria(np.array([I], dtype=np.uint16)))
-    return n, c, _POINT_AT[sp], _POINT_AT[op], _K_PAIR_AT[kc]
+    return tuple(col[0] for col in _criteria(np.array([I], dtype=np.uint16)))
 
 
 def ppt_combinatorial(I: int) -> bool:
@@ -229,10 +233,11 @@ def _multicover(quads, I: int, M: int):
     Depth-first with fail-first point selection; returns a weight list
     or None.  The state of a node is two bitsets: `open_`, the bits of I
     whose demand is not met, and `usable`, over quadruple indices, the
-    quadruples that miss every bit outside `open_`.  Complete: once a
-    point's demand is met, any quadruple through it becomes unusable,
-    so all its quadruples are decided at the node where the point is
-    processed.
+    quadruples that miss every bit outside `open_`; `fill` updates
+    `weights` and `residual` in place and undoes them on backtracking.
+    Complete: once a point's demand is met, any quadruple through it
+    becomes unusable, so all its quadruples are decided at the node
+    where the point is processed.
     """
     residual = [M] * 16
     weights = [0] * len(quads)
@@ -242,32 +247,25 @@ def _multicover(quads, I: int, M: int):
         for b in q_bits:
             through[b] |= 1 << qi
 
-    def place(qi, open_, usable):
-        weights[qi] += 1
-        for b in bits[qi]:
-            residual[b] -= 1
-            if not residual[b]:
-                open_ &= ~(1 << b)
-                usable &= ~through[b]
-        return open_, usable
-
-    def unplace(qi):
-        weights[qi] -= 1
-        for b in bits[qi]:
-            residual[b] += 1
-
     def fill(b, start, open_, usable):
-        # choose a multiset of usable quadruples covering bit `b` until
-        # its demand is met; index-monotone to avoid duplicate orderings
-        if not open_ >> b & 1:
-            return solve(open_, usable)
+        # choose a multiset of usable quadruples covering the open bit `b`
+        # until its demand is met; index-monotone to avoid duplicate orderings
         cand = through[b] & usable & -(1 << start)
         while cand:
             low = cand & -cand
             qi = low.bit_length() - 1
-            if fill(b, qi, *place(qi, open_, usable)):
+            weights[qi] += 1  # place quadruple qi once more
+            child_open, child_usable = open_, usable
+            for x in bits[qi]:
+                residual[x] -= 1
+                if not residual[x]:
+                    child_open &= ~(1 << x)
+                    child_usable &= ~through[x]
+            if fill(b, qi, child_open, child_usable) if residual[b] else solve(child_open, child_usable):
                 return True
-            unplace(qi)
+            weights[qi] -= 1  # and take it back
+            for x in bits[qi]:
+                residual[x] += 1
             cand ^= low
         return False
 
@@ -404,7 +402,7 @@ def _ppt_classification(I: int, sp, op, kc, canon: int, s: int, memo: dict) -> C
     `memo` maps canon to None or to (multiplicity, [(quadruple index, weight)])."""
     fired = [name for name, hit in (("special_subset", sp), ("one_point", op), ("k_criterion", kc)) if hit is not None]
     if fired:
-        delta = None if sp is None else exact_delta(I, sp)
+        delta = None if sp is None else _delta_at(I, point_bit(sp))
         return Classification("PptEntangled", fired, sp, op, kc, witness_delta=delta)
     if canon not in memo:
         cov = uniform_covering(canon)
@@ -433,8 +431,7 @@ class SurveyRecord:
     cross_check_ok: bool = None  # combinatorial PPT and exact min PT eigenvalue vs numpy.linalg
 
 
-# Masks per numpy pass of `survey`.
-_BLOCK = 4096
+_BLOCK = 4096  # masks per numpy pass of `survey`
 
 
 def _block_canonical(m):
@@ -455,9 +452,11 @@ def survey(*, cross_validate: bool = False):
     memo, npt = {}, lru_cache(maxsize=None)(_npt_classification)  # one NptEntangled record per (n, c)
     for lo in range(1, 1 << 16, _BLOCK):
         m = np.arange(lo, min(lo + _BLOCK, 1 << 16), dtype=np.uint16)
-        for I, n, c, sp, op, kc, canon, s in zip(m.tolist(), *_criteria(m), *_block_canonical(m)):
-            cls = (npt(n, c) if 2 * c > n
-                   else _ppt_classification(I, _POINT_AT[sp], _POINT_AT[op], _K_PAIR_AT[kc], canon, s, memo))
+        ns, cs = np.bitwise_count(m), np.bitwise_count(_CROSS & m).max(0)  # point counts, largest cross counts
+        ppt = m[2 * cs <= ns]  # the rest of the criteria and the translates only for these
+        ppt_rows = zip(*_criteria(ppt)[2:], *_block_canonical(ppt))
+        for I, n, c in zip(m.tolist(), ns.tolist(), cs.tolist()):
+            cls = npt(n, c) if 2 * c > n else _ppt_classification(I, *next(ppt_rows), memo)
             rec = SurveyRecord(I, n, cls)
             if cross_validate:
                 numeric = pt_min_eig(I)

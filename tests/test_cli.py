@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -44,6 +45,19 @@ def test_parse_mask_errors():
     with pytest.raises(cli.ParseError, match="out of range"):
         cli._parse_mask("0x0")
     assert cli._parse_mask("7bde") == 0x7BDE
+    assert cli._parse_mask("0X7BDE") == cli._parse_mask("0x07bde") == 0x7BDE
+
+
+# not an optional 0x prefix and hex digits; all but the last four are
+# read as a mask by int(text, 16): digit separators, an "0x" prefix with
+# a separator, padding, signs and non-ASCII digits
+@pytest.mark.parametrize("text", ["1_0", "0x_f_f", "f_f", " ff", "ff ", "ff\n", "\tff", "+ff", "+0xff", "-0x1",
+                                  "\u0661\u0662", "\uff11\uff12", "0xx1", "x1", "0x", ""])
+def test_classify_rejects_a_mask_that_is_not_plain_hex(text, capsys):
+    assert cli.main(["classify", f"--mask={text}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not a hex mask: {text!r}\n"
 
 
 def test_classify_json_schema(capsys):
@@ -235,15 +249,15 @@ def test_text_tables_hold_the_json_of_their_values():
         assert text == json.dumps(list(p))
     # covering items: the JSON with every quote doubled, as csv.writer
     # writes it inside the quoted certificate cell
-    assert len(cli._ITEM_CSV) == 60
-    assert set(cli._ITEM_CSV) == set(lattice.all_quadruples())
-    for q, text in cli._ITEM_CSV.items():
-        for w in range(1, lattice.MAX_MULTIPLICITY + 1):
-            item = json.dumps({"points": [list(p) for p in q], "weight": w})
-            assert (text % w).replace('""', '"') == item
-            buf = io.StringIO()
-            csv.writer(buf).writerow([item])
-            assert buf.getvalue() == f'"{text % w}"\r\n'
+    # (quadruple, weight) for every weight up to the largest multiplicity
+    assert set(cli._ITEM_CSV) == set(itertools.product(lattice.all_quadruples(),
+                                                        range(1, lattice.MAX_MULTIPLICITY + 1)))
+    for (q, w), text in cli._ITEM_CSV.items():
+        item = json.dumps({"points": [list(p) for p in q], "weight": w})
+        assert text.replace('""', '"') == item
+        buf = io.StringIO()
+        csv.writer(buf).writerow([item])
+        assert buf.getvalue() == f'"{text}"\r\n'
 
 
 def test_csv_row_is_what_csv_writer_writes():

@@ -1,5 +1,6 @@
 """Combinatorial lattice criteria against the numeric oracle."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -274,7 +275,7 @@ def test_cross_counts_match_a_recount_from_points():
         assert lattice._criteria_row(I) == ref
         assert lattice._criteria_row(prev) == ref_prev
         assert lattice._criteria_row(I) == ref
-        assert (n, c, lattice._POINT_AT[sp], lattice._POINT_AT[op], lattice._K_PAIR_AT[kc]) == ref
+        assert (n, c, sp, op, kc) == ref
         prev, ref_prev = I, ref
 
 
@@ -456,17 +457,50 @@ def test_survey_shares_npt_records_within_one_survey_only():
 
 def test_survey_reads_its_masks_one_block_at_a_time(monkeypatch):
     # the criteria of a 4096-mask block are computed when its first
-    # record is asked for, not before
-    blocks = []
+    # record is asked for, not before, and only on the block's PPT masks
+    calls = []
     kernel = lattice._criteria
 
     def counting(m):
-        blocks.append(len(m))
+        calls.append(m.tolist())
         return kernel(m)
 
     monkeypatch.setattr(lattice, "_criteria", counting)
     next(lattice.survey())
-    assert blocks == [4096]
-    blocks.clear()
+    assert len(calls) == 1
+    calls.clear()
     assert len(list(itertools.islice(lattice.survey(), 5000))) == 5000
-    assert blocks == [4096, 4096]
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for block, masks in enumerate(calls):
+        ppt = [I for I in range(1 + 4096 * block, 1 + 4096 * (block + 1)) if lattice.ppt_combinatorial(I)]
+        assert masks == ppt
+
+
+# sha256 of repr([(mask, multiplicity, items)]) of `uniform_covering` over
+# the Separable translation-canonical masks, in mask order
+COVERINGS_SHA256 = "c8b9fd0066131b0a3c93565047b17fe2574ef88c883cd13dec21e824472327f8"
+
+
+def test_covering_search_finds_the_same_first_covering():
+    # pins the search order of `_multicover`: any change to it that finds
+    # another (still valid) covering first changes the digest
+    canon = [rec.mask for rec in lattice.survey() if rec.classification.tag == "Separable"
+             and lattice.canonical_mask(rec.mask)[0] == rec.mask]
+    found = [(I, lattice.uniform_covering(I)) for I in canon]
+    mult = {}
+    for _, cov in found:
+        mult[cov.multiplicity] = mult.get(cov.multiplicity, 0) + 1
+    assert len(canon) == 680 and mult == {1: 91, 2: 483, 4: 106}
+    digest = hashlib.sha256(repr([(I, cov.multiplicity, cov.items) for I, cov in found]).encode()).hexdigest()
+    assert digest == COVERINGS_SHA256
+
+
+def test_survey_witness_delta_is_the_checked_exact_delta():
+    # the survey takes delta from the unchecked closed form; the public
+    # exact_delta checks that the point lies in the mask first
+    deltas = [(rec.mask, rec.classification) for rec in lattice.survey()
+              if rec.classification.tag == "PptEntangled"]
+    assert len(deltas) == 2688
+    for mask, cls in deltas:
+        assert cls.witness_delta == lattice.exact_delta(mask, cls.special_point)
