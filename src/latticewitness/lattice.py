@@ -76,7 +76,7 @@ def translate_mask(t, mask: int) -> int:
     moves bit i to bit i ^ point_bit(t) (Pauli product indices XOR): one
     swap of adjacent k-bit blocks per set bit k of point_bit(t)."""
     mask = _check_bits(mask)
-    s = point_bit(t)
+    s = point_bit(pauli.check_point(t))
     for k, lo in _BLOCK_SWAPS:
         if s & k:
             mask = (mask & lo) << k | (mask >> k) & lo

@@ -14,6 +14,7 @@ sigma-diagonal matrix) has exactly the coefficients as eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -113,23 +114,38 @@ class SeesawResult:
     phi: np.ndarray
 
 
+_eigh_lo = np.linalg._umath_linalg.eigh_lo  # the LAPACK gufunc behind np.linalg.eigh
+
+
+def _eigh(M):  # np.linalg.eigh of a complex stack, bit for bit, without the wrapper
+    w, V = _eigh_lo(M, signature="D->dD")
+    if math.isnan(w.sum()):  # LAPACK did not converge
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, V
+
+
 def _seesaw_batch(A, psi, d2, minimize, iters=500):
     # A[(i,p),(j,q)] = C[(i,j),(p,q)]; psi is an (R, d1) stack of start
     # vectors.  A restart stops once its value moves by less than 1e-10
-    # (val starts at NaN, so never after step one) and leaves the live set.
+    # (v starts at NaN, so never after step one) and leaves the live set
+    # (indices live, vectors p, values v), which is gathered and scattered
+    # only on the steps where one stops and at the step cap.
     (R, d1), k = psi.shape, 0 if minimize else -1
-    phi, val, live = np.empty((R, d2), complex), np.full(R, np.nan), np.arange(R)
-    for _ in range(iters):
-        p = psi[live]
+    phi, val = np.empty((R, d2), complex), np.empty(R)
+    live, p, v = np.arange(R), psi, np.full(R, np.nan)
+    for step in range(iters):
         Mphi = ((p.conj()[:, :, None] * p[:, None, :]).reshape(-1, d1 * d1) @ A).reshape(-1, d2, d2)
-        f = np.linalg.eigh(Mphi)[1][..., k]
+        f = _eigh(Mphi)[1][..., k]
         Mpsi = ((f.conj()[:, :, None] * f[:, None, :]).reshape(-1, d2 * d2) @ A.T).reshape(-1, d1, d1)
-        w, V = np.linalg.eigh(Mpsi)
-        done = np.abs(w[:, k] - val[live]) < 1e-10
-        psi[live], phi[live], val[live] = V[..., k], f, w[:, k]
-        live = live[~done]
-        if not live.size:
-            break
+        w, V = _eigh(Mpsi)
+        w, p = w[:, k], V[..., k]
+        done = np.abs(w - v) < 1e-10
+        if done.any() or step == iters - 1:
+            psi[live], phi[live], val[live] = p, f, w
+            live, p, w = live[~done], p[~done], w[~done]
+            if not live.size:
+                break
+        v = w
     return val, psi, phi
 
 
@@ -156,7 +172,11 @@ def seesaw_extremum(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE, minimi
     steps).  The merge is deterministic (extremal value, ties to the
     lowest sub-seed).  A non-Hermitian Choi matrix raises
     `linalg.NotHermitian`; `restarts < 1` or `seed < 0` raises
-    `BadParameter`.
+    `BadParameter`; an eigensolve that does not converge raises
+    `numpy.linalg.LinAlgError`, never a NaN value.  The half-steps call
+    numpy's LAPACK `eigh` gufunc directly (`_eigh`): most stacks hold 1-4
+    live 4x4 matrices, where `np.linalg.eigh`'s wrapper costs as much as
+    the solve.
     """
     if restarts < 1:
         raise BadParameter("restarts must be at least 1")
@@ -166,7 +186,8 @@ def seesaw_extremum(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE, minimi
         raise linalg.NotHermitian("Choi matrix is not Hermitian")
     d1, d2 = m.in_dim, m.out_dim
     A = m.choi.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
-    val, psi, phi = _seesaw_batch(A, _start_vectors(seed, restarts, d1).copy(), d2, minimize)
+    with np.errstate(invalid="ignore"):  # LAPACK's NaN on failure: `_eigh` raises instead
+        val, psi, phi = _seesaw_batch(A, _start_vectors(seed, restarts, d1).copy(), d2, minimize)
     best = 0
     for i in range(1, restarts):
         if val[i] < val[best] - 1e-15 if minimize else val[i] > val[best] + 1e-15:
@@ -235,7 +256,10 @@ def phi_v_map(v_col, v_row) -> ChoiMap:
 
     V = sum_{a != 2} v_col[a] sigma_(a,2) + sum_{b != 2} v_row[b] sigma_(2,b);
     the six coefficients (indexed 0,1,3; entry 2 ignored) must satisfy
-    sum |v|^2 = 1.
+    sum |v|^2 = 1 and give V operator norm <= 1 (within 1e-10), else
+    `BadParameter`.  Then the map is positive: V^dag phi is orthogonal to
+    conj(phi) for antisymmetric V, so |phi><phi| maps to 1 minus two
+    orthogonal rank-one terms of norm <= 1 (Breuer 2006; Hall 2006).
     """
     v_col = np.asarray(v_col, dtype=complex)
     v_row = np.asarray(v_row, dtype=complex)
@@ -246,6 +270,8 @@ def phi_v_map(v_col, v_row) -> ChoiMap:
     for a in (0, 1, 3):
         V += v_col[a] * pauli.word_matrix((a, 2))
         V += v_row[a] * pauli.word_matrix((2, a))
+    if linalg.singular_values(V)[0] > 1 + 1e-10:
+        raise BadParameter("V must have operator norm at most 1")
     tr = choi_of_diag(trace_map(2)).choi
     tp = choi_of_diag(transposition_map(2)).choi
     sand = choi_of_kraus(KrausSet([(1.0, V.conj().T)]), 4).choi

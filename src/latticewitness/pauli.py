@@ -45,6 +45,11 @@ def check_index(a) -> int:
     return a
 
 
+def check_point(p) -> LatticePoint:  # (alpha, beta), both checked by check_index
+    a, b = p
+    return check_index(a), check_index(b)
+
+
 def pauli_product(a: int, m: int) -> tuple[int, complex]:
     """Index and phase of sigma_a sigma_m."""
     return PRODUCT_INDEX[a][m], PRODUCT_PHASE[a][m]
@@ -83,5 +88,6 @@ def tau(t: LatticePoint, p: LatticePoint) -> LatticePoint:
 
     Involutive bijection of the lattice for every t.
     """
-    return (PRODUCT_INDEX[t[0]][p[0]], PRODUCT_INDEX[t[1]][p[1]])
+    (a, b), (c, d) = check_point(t), check_point(p)
+    return (PRODUCT_INDEX[a][c], PRODUCT_INDEX[b][d])
 

@@ -237,6 +237,13 @@ def test_masks_outside_the_lattice_are_out_of_range():
     assert lattice.translate_mask((1, 0), 0) == 0
 
 
+def test_translate_mask_rejects_points_off_the_lattice():
+    # (4, 0) used to read as (0, 1), and (0, 4) as the identity
+    for bad in ((4, 0), (0, 4), (-1, 0)):
+        with pytest.raises(ValueError, match="Pauli index out of range"):
+            lattice.translate_mask(bad, 0x0003)
+
+
 def test_bit_helpers_match_their_definitions():
     for mask in range(1 << 16):
         assert lattice.popcount(mask) == bin(mask).count("1")

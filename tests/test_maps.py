@@ -136,6 +136,17 @@ def test_phi_v_map_rejects_nan_and_inf_coefficients():
             maps.phi_v_map([bad, 0, 0, 0], [0, 0, 0, 0])
 
 
+def test_phi_v_map_accepts_only_positive_maps():
+    # sum |v|^2 = 1 but |V| = sqrt(2): the see-saw finds -0.25 on its Choi matrix
+    r = np.sqrt(0.5)
+    with pytest.raises(maps.BadParameter, match="operator norm"):
+        maps.phi_v_map([r, 0, 0, 0], [r, 0, 0, 0])
+    for a in (0, 1, 3):  # the six single-word maps Phi_w, w = (a,2) or (2,a)
+        e = np.eye(4)[a]
+        for v_col, v_row in ((e, 0 * e), (0 * e, e)):
+            assert maps.seesaw_extremum(maps.phi_v_map(v_col, v_row))[0] >= -1e-9
+
+
 def test_extend_apply_matches_kron_of_choi_action():
     rng = np.random.default_rng(8)
     coeffs = rng.normal(size=16)
@@ -248,3 +259,27 @@ def test_batched_seesaw_matches_the_per_restart_loop():
             assert psi.shape == (cm.in_dim,) and phi.shape == (cm.out_dim,)
             assert abs(val - _seesaw_reference(cm, restarts, 0xC0FFEE, minimize)) < 1e-12
             assert abs(val - maps.product_expectation(cm, psi, phi)) < 1e-10
+
+
+def test_bare_eigh_kernel_is_numpy_eigh_and_raises_on_nan(monkeypatch):
+    rng = np.random.default_rng(4)
+    stacks = []
+    for n in (1, 3, 64):
+        X = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+        stacks.append(X + X.conj().transpose(0, 2, 1))
+    U = np.linalg.qr(random_matrix(rng, 4))[0]
+    stacks.append((U * [1.0, 1.0, 1.0, -2.0]) @ U.conj().T[None])  # degenerate spectrum
+    for M in stacks:
+        w, V = maps._eigh(M)
+        w_ref, V_ref = np.linalg.eigh(M)
+        assert w.dtype == w_ref.dtype and V.dtype == V_ref.dtype
+        assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
+    def nan_eigh(M, signature):
+        w, V = np.linalg.eigh(M)
+        w[0, 0] = np.nan  # what LAPACK's non-convergence leaves
+        return w, V
+
+    monkeypatch.setattr(maps, "_eigh_lo", nan_eigh)
+    with pytest.raises(np.linalg.LinAlgError):
+        maps.seesaw_extremum(maps.reduction_map(2), restarts=4)

@@ -84,6 +84,15 @@ def test_tau_is_involutive_translation():
             assert 4 * q[1] + q[0] == (4 * t[1] + t[0]) ^ (4 * p[1] + p[0])
 
 
+def test_tau_rejects_points_off_the_lattice():
+    # (4, 0) used to raise a bare IndexError from the product table
+    for bad in ((4, 0), (0, 4), (-1, 0)):
+        with pytest.raises(ValueError, match="Pauli index out of range"):
+            pauli.tau(bad, (1, 1))
+        with pytest.raises(ValueError, match="Pauli index out of range"):
+            pauli.tau((1, 1), bad)
+
+
 def test_check_index_rejects_out_of_range():
     with pytest.raises(ValueError):
         pauli.check_index(4)
