@@ -42,8 +42,9 @@ class BadCovering(ValueError):
 ALL_POINTS = [(a, b) for b in range(4) for a in range(4)]
 
 
-def point_bit(p) -> int:
-    return 4 * p[1] + p[0]
+def point_bit(p) -> int:  # a point off the lattice raises ValueError
+    a, b = pauli.check_point(p)
+    return 4 * b + a
 
 
 def _check_bits(mask: int) -> int:  # the mask as a Python int; 0 is allowed
@@ -76,7 +77,7 @@ def translate_mask(t, mask: int) -> int:
     moves bit i to bit i ^ point_bit(t) (Pauli product indices XOR): one
     swap of adjacent k-bit blocks per set bit k of point_bit(t)."""
     mask = _check_bits(mask)
-    s = point_bit(pauli.check_point(t))
+    s = point_bit(t)
     for k, lo in _BLOCK_SWAPS:
         if s & k:
             mask = (mask & lo) << k | (mask >> k) & lo
@@ -124,10 +125,6 @@ def exact_delta(I: int, p) -> float:
 
 def _delta_at(I: int, b: int) -> float:  # exact_delta at bit b of I, unchecked
     return 4.0 - max((q & I).bit_count() for q in _QUADS_THROUGH[b])
-
-
-def all_quadruples() -> list:
-    return list(ALL_QUADRUPLES)
 
 
 def is_special(points) -> bool:
@@ -323,7 +320,7 @@ def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     """Check that the covering's convex mixture of quadruple states
     reproduces the lattice state of I.  Every item must be a special
     quadruple (points as tuples, or lists as in a JSON report) of
-    `all_quadruples()` with a positive integer weight."""
+    `ALL_QUADRUPLES` with a positive integer weight."""
     I = check_mask(I)
     counts = [0] * 16
     items = [(tuple(tuple(p) if isinstance(p, list) else p for p in q), w) for q, w in covering.items]

@@ -148,15 +148,6 @@ def trace_norm(M: np.ndarray) -> float:
     return float(np.sum(singular_values(M)))
 
 
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(A^dag B)."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.shape != B.shape:
-        raise DimMismatch(f"shape mismatch: {A.shape} vs {B.shape}")
-    return complex(np.sum(A.conj() * B))
-
-
 def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 

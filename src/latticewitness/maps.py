@@ -15,8 +15,10 @@ sigma-diagonal matrix) has exactly the coefficients as eigenvalues.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -151,12 +153,16 @@ def _seesaw_batch(A, psi, d2, minimize, iters=500):
 
 @lru_cache(maxsize=8)  # callers repeat one seed and restart count
 def _start_vectors(seed: int, restarts: int, d1: int) -> np.ndarray:
-    """Read-only (restarts, d1) stack: row i is a random unit vector drawn with
-    sub-seed [seed, i].  `_seesaw_batch` writes into its start vectors: pass a copy."""
+    """Read-only (restarts, d1) stack: row i is the normalised vector of
+    complex(g(0.0, 1.0), g(0.0, 1.0)) draws, g the `gauss` of
+    random.Random(s*(s+1)//2 + i), s = seed + i: the Cantor pair of (seed, i),
+    so row i does not depend on `restarts`, and an integer seed needs neither
+    numpy.random nor hashlib.  `_seesaw_batch` writes into it: pass a copy."""
     psi = np.empty((restarts, d1), complex)
     for i in range(restarts):
-        rng = np.random.default_rng([seed, i])
-        psi[i] = rng.normal(size=d1) + 1j * rng.normal(size=d1)
+        s = seed + i
+        g = random.Random(s * (s + 1) // 2 + i).gauss
+        psi[i] = [complex(g(0.0, 1.0), g(0.0, 1.0)) for _ in range(d1)]
         psi[i] /= np.linalg.norm(psi[i])
     psi.setflags(write=False)
     return psi
@@ -166,18 +172,21 @@ def seesaw_extremum(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE, minimi
     """Best product-vector expectation value of the Choi matrix found by
     alternating eigenvector iteration with `restarts` seeded restarts.
 
-    Restart i starts from a random vector drawn with sub-seed [seed, i];
-    all restarts run together as one stack, each stopping once its value
-    moves by less than 1e-10 (never after the first step, at most 500
-    steps).  The merge is deterministic (extremal value, ties to the
-    lowest sub-seed).  A non-Hermitian Choi matrix raises
-    `linalg.NotHermitian`; `restarts < 1` or `seed < 0` raises
-    `BadParameter`; an eigensolve that does not converge raises
+    Restart i starts from row i of `_start_vectors(seed, ...)`, drawn with
+    the standard library's `random.Random`; all restarts run together as
+    one stack, each stopping once its value moves by less than 1e-10 (never
+    after the first step).  A restart still moving at the 500-step cap
+    enters the merge with its last value, unflagged.  The merge is
+    deterministic (extremal value, ties to the lowest restart index).  A
+    non-Hermitian Choi matrix raises `linalg.NotHermitian`; `restarts < 1`
+    or `seed < 0` raises `BadParameter`, a seed that is not an integer
+    `TypeError`; an eigensolve that does not converge raises
     `numpy.linalg.LinAlgError`, never a NaN value.  The half-steps call
     numpy's LAPACK `eigh` gufunc directly (`_eigh`): most stacks hold 1-4
     live 4x4 matrices, where `np.linalg.eigh`'s wrapper costs as much as
     the solve.
     """
+    seed = index(seed)  # random.Random would hash a float or a string
     if restarts < 1:
         raise BadParameter("restarts must be at least 1")
     if seed < 0:

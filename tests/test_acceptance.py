@@ -136,7 +136,7 @@ def test_07_exhaustive_oracle_equivalence(capsys):
 
 
 def test_08_quadruple_census(capsys):
-    quads = lattice.all_quadruples()
+    quads = lattice.ALL_QUADRUPLES
     per_point = [sum(p in q for q in quads) for p in lattice.ALL_POINTS]
     # independent reconstruction of the origin quadruples: {(0,0), w1, w2,
     # w1*w2} with w1, w2 distinct commuting nonzero words

@@ -250,7 +250,7 @@ def test_text_tables_hold_the_json_of_their_values():
     # covering items: the JSON with every quote doubled, as csv.writer
     # writes it inside the quoted certificate cell
     # (quadruple, weight) for every weight up to the largest multiplicity
-    assert set(cli._ITEM_CSV) == set(itertools.product(lattice.all_quadruples(),
+    assert set(cli._ITEM_CSV) == set(itertools.product(lattice.ALL_QUADRUPLES,
                                                         range(1, lattice.MAX_MULTIPLICITY + 1)))
     for (q, w), text in cli._ITEM_CSV.items():
         item = json.dumps({"points": [list(p) for p in q], "weight": w})

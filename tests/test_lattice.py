@@ -10,7 +10,7 @@ from latticewitness import cli, criteria, lattice, linalg, pauli, states
 
 
 def test_quadruple_census():
-    quads = lattice.all_quadruples()
+    quads = lattice.ALL_QUADRUPLES
     assert len(quads) == 60
     assert len(set(quads)) == 60
     for q in quads:
@@ -43,7 +43,7 @@ def test_quadruples_are_the_translates_of_the_commuting_planes():
     assert len(commuting) == 15
     translates = {tuple(sorted(points[product(t, b)] for b in q)) for q in commuting for t in range(16)}
     assert len(translates) == 60
-    assert lattice.all_quadruples() == sorted(translates)
+    assert lattice.ALL_QUADRUPLES == sorted(translates)
     assert lattice.quadruples_q00() == sorted(tuple(sorted(points[b] for b in q)) for q in commuting)
 
 
@@ -67,7 +67,7 @@ def test_nonzero_word_commutant_structure():
 
 
 def test_quadruple_states_separable_and_ppt():
-    for q in lattice.all_quadruples()[:10]:
+    for q in lattice.ALL_QUADRUPLES[:10]:
         mask = states.points_mask(q)
         assert lattice.ppt_combinatorial(mask)
         assert lattice.pt_min_eig(mask) > -1e-12
@@ -108,7 +108,7 @@ def test_exhaustive_criteria_implications():
     # on every PPT mask the one-point criterion implies the k-criterion;
     # on every mask the special-subset flag is absent exactly when the
     # quadruples inside I cover I (checked on point tuples)
-    quads = [frozenset(q) for q in lattice.all_quadruples()]
+    quads = [frozenset(q) for q in lattice.ALL_QUADRUPLES]
     n_ppt = 0
     for mask in range(1, 1 << 16):
         if lattice.ppt_combinatorial(mask):
@@ -174,9 +174,9 @@ def test_certificate_verifies():
 def test_certificate_rejects_bad_coverings():
     mask = cli.example_mask("cover-8")
     cov = lattice.uniform_covering(mask)
-    outside = lattice.Covering([(lattice.all_quadruples()[0], 1)], 1)
-    if states.points_mask(lattice.all_quadruples()[0]) & mask != states.points_mask(
-        lattice.all_quadruples()[0]
+    outside = lattice.Covering([(lattice.ALL_QUADRUPLES[0], 1)], 1)
+    if states.points_mask(lattice.ALL_QUADRUPLES[0]) & mask != states.points_mask(
+        lattice.ALL_QUADRUPLES[0]
     ):
         with pytest.raises(lattice.BadCovering):
             lattice.separability_certificate(mask, outside)
@@ -238,10 +238,13 @@ def test_masks_outside_the_lattice_are_out_of_range():
 
 
 def test_translate_mask_rejects_points_off_the_lattice():
-    # (4, 0) used to read as (0, 1), and (0, 4) as the identity
+    # (4, 0) used to read as (0, 1), and (0, 4) as the identity; point_bit
+    # gave 4, 16 and -1
     for bad in ((4, 0), (0, 4), (-1, 0)):
         with pytest.raises(ValueError, match="Pauli index out of range"):
             lattice.translate_mask(bad, 0x0003)
+        with pytest.raises(ValueError, match="Pauli index out of range"):
+            lattice.point_bit(bad)
 
 
 def test_bit_helpers_match_their_definitions():
@@ -261,7 +264,7 @@ def test_cross_counts_match_a_recount_from_points():
     # is cached for the last mask asked, so masks are asked in
     # alternation: a stale entry would be returned for the wrong mask.
     # The kernel run on all masks at once gives the same rows.
-    quads = [frozenset(q) for q in lattice.all_quadruples()]
+    quads = [frozenset(q) for q in lattice.ALL_QUADRUPLES]
 
     def recount(I):
         pts = set(states.mask_points(I))
@@ -380,7 +383,7 @@ def test_every_survey_covering_is_uniform_on_its_mask():
     # an integer recount, apart from `separability_certificate`: every item
     # is a special quadruple inside the mask with a positive int weight,
     # and covers each point of the mask `multiplicity` times, no other point
-    special = set(lattice.all_quadruples())
+    special = set(lattice.ALL_QUADRUPLES)
     separable = 0
     for rec in lattice.survey():
         cov = rec.classification.covering

@@ -125,10 +125,3 @@ def test_min_eig_and_is_psd():
     assert linalg.is_psd(psd)
     assert not linalg.is_psd(psd - 2 * np.eye(6) * np.linalg.eigvalsh(psd)[-1])
     assert abs(linalg.min_eig(psd) - np.linalg.eigvalsh(psd)[0]) < 1e-8
-
-
-def test_hs_inner_matches_trace():
-    rng = np.random.default_rng(11)
-    A = random_hermitian(rng, 5)
-    B = random_hermitian(rng, 5)
-    assert abs(linalg.hs_inner(A, B) - np.trace(A.conj().T @ B)) < 1e-12

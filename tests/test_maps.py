@@ -1,6 +1,12 @@
 """Choi representations, named positive maps, and the product-vector
 see-saw."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -145,6 +151,27 @@ def test_phi_v_map_accepts_only_positive_maps():
         e = np.eye(4)[a]
         for v_col, v_row in ((e, 0 * e), (0 * e, e)):
             assert maps.seesaw_extremum(maps.phi_v_map(v_col, v_row))[0] >= -1e-9
+    # Tr V^dag V = 4 makes |V| <= 1 mean V^dag V = 1, which a generic vector
+    # misses; real coefficients (times one phase) give it exactly when the
+    # words carrying them pairwise anticommute
+    rng = np.random.default_rng(10)
+    words = [(a, 2) for a in (0, 1, 3)] + [(2, b) for b in (0, 1, 3)]
+    accepted = 0
+    for _ in range(80):
+        v = rng.normal(size=6) * (rng.random(6) < 0.5)
+        if not v.any():
+            continue
+        v = v / np.linalg.norm(v) * np.exp(2j * np.pi * rng.random())
+        support = [w for w, x in zip(words, v) if x]
+        anticommuting = not any(pauli.words_commute(w, u) for w in support for u in support if w < u)
+        v_col, v_row = np.insert(v[:3], 2, 0), np.insert(v[3:], 2, 0)
+        if not anticommuting:
+            with pytest.raises(maps.BadParameter, match="operator norm"):
+                maps.phi_v_map(v_col, v_row)
+            continue
+        accepted += 1
+        assert maps.seesaw_extremum(maps.phi_v_map(v_col, v_row))[0] >= -1e-9
+    assert accepted >= 10
 
 
 def test_extend_apply_matches_kron_of_choi_action():
@@ -168,6 +195,15 @@ def test_seesaw_is_deterministic_and_bounded_by_extremal_eigenvalues():
     assert top[0] <= np.linalg.eigvalsh(cm.choi)[-1] + 1e-12
 
 
+def _start_vector(seed, i, d):
+    # the documented recipe: complex Gaussians from random.Random seeded by
+    # the Cantor pair of (seed, i), real part first, then normalised
+    s = seed + i
+    g = random.Random(s * (s + 1) // 2 + i).gauss
+    z = np.array([complex(g(0.0, 1.0), g(0.0, 1.0)) for _ in range(d)])
+    return z / np.linalg.norm(z)
+
+
 def test_seesaw_start_vectors_are_drawn_once_and_left_unchanged():
     cm = criteria._delta_choi(0xf587, (3, 3), 1.5)
     first = maps.seesaw_extremum(cm, restarts=64, seed=5, minimize=False)
@@ -177,9 +213,27 @@ def test_seesaw_start_vectors_are_drawn_once_and_left_unchanged():
     cached = maps._start_vectors(5, 64, 4)
     assert not cached.flags.writeable
     for i in range(64):
-        rng = np.random.default_rng([5, i])
-        fresh = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert np.array_equal(cached[i], fresh / np.linalg.norm(fresh))
+        assert np.array_equal(cached[i], _start_vector(5, i, 4))
+    assert np.array_equal(maps._start_vectors(5, 8, 4), cached[:8])  # independent of restarts
+
+
+def test_seesaw_takes_integer_seeds_only():
+    cm = maps.reduction_map(2)
+    assert maps.seesaw_extremum(cm, restarts=4, seed=np.int64(3))[0] == maps.seesaw_extremum(
+        cm, restarts=4, seed=3)[0]
+    for bad in (1.5, "3"):  # random.Random would hash these into a seed
+        with pytest.raises(TypeError):
+            maps.seesaw_extremum(cm, restarts=4, seed=bad)
+    with pytest.raises(maps.BadParameter):
+        maps.seesaw_extremum(cm, restarts=4, seed=-1)
+
+
+def test_max_delta_does_not_import_numpy_random():
+    # the test modules import numpy.random themselves: check in a fresh interpreter
+    code = ("import sys; from latticewitness import criteria; "
+            "criteria.max_delta(0x1eef, (0, 0)); assert 'numpy.random' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_seesaw_rejects_fewer_than_one_restart():
@@ -227,9 +281,7 @@ def _seesaw_reference(cm, restarts, seed, minimize):
     k = 0 if minimize else -1
     best = None
     for i in range(restarts):
-        rng = np.random.default_rng([seed, i])
-        psi = rng.normal(size=d1) + 1j * rng.normal(size=d1)
-        psi /= np.linalg.norm(psi)
+        psi = _start_vector(seed, i, d1)
         prev = None
         for _ in range(500):
             phi = np.linalg.eigh(np.einsum("i,ijpq,p->jq", psi.conj(), T, psi))[1][:, k]
@@ -243,12 +295,13 @@ def _seesaw_reference(cm, restarts, seed, minimize):
     return best
 
 
-def test_batched_seesaw_matches_the_per_restart_loop():
+def test_batched_seesaw_matches_the_per_restart_loop(monkeypatch):
     rng = np.random.default_rng(9)
     kraus = maps.KrausSet([(c, rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
                            for c in (1.0, 0.5)])
+    capped = criteria._delta_choi(0x1276, (0, 1), 1.0)  # restart 0 runs 500 steps
     cases = [
-        (criteria._delta_choi(0x037f, (3, 0), 1.0), False),  # one restart runs 500 steps
+        (capped, False),
         (criteria._delta_choi(0xf587, (3, 3), 1.5), False),
         (maps.reduction_map(3), True),
         (maps.choi_of_kraus(kraus, 2), True),  # M_2 -> M_4
@@ -259,6 +312,15 @@ def test_batched_seesaw_matches_the_per_restart_loop():
             assert psi.shape == (cm.in_dim,) and phi.shape == (cm.out_dim,)
             assert abs(val - _seesaw_reference(cm, restarts, 0xC0FFEE, minimize)) < 1e-12
             assert abs(val - maps.product_expectation(cm, psi, phi)) < 1e-10
+    solves = []  # two eigensolves per step: the capped case reaches the cap
+
+    def counted(M, eigh=maps._eigh):
+        solves.append(len(M))
+        return eigh(M)
+
+    monkeypatch.setattr(maps, "_eigh", counted)
+    maps.seesaw_extremum(capped, restarts=1, minimize=False)
+    assert len(solves) == 2 * 500
 
 
 def test_bare_eigh_kernel_is_numpy_eigh_and_raises_on_nan(monkeypatch):
