@@ -1,9 +1,8 @@
 """Entanglement criteria and witnesses.
 
 Numeric detectors (PPT, realignment, reduction) return a uniform verdict
-record; witness constructors produce Hermitian matrices that are
-nonnegative on product vectors (exactly for the diagonal lattice witness
-at delta <= `max_delta`, heuristically for the edge witness).
+record; `diagonal_lattice_witness` builds a Hermitian matrix that is
+nonnegative on product vectors for delta <= `max_delta`.
 `max_delta` is the closed form `lattice.exact_delta` plus one see-saw
 re-check.
 """
@@ -23,14 +22,6 @@ class PointNotInSubset(ValueError):
     pass
 
 
-class NotPpt(ValueError):
-    pass
-
-
-class ZeroKernels(ValueError):
-    pass
-
-
 class DeltaViolated(RuntimeError):
     pass
 
@@ -47,18 +38,12 @@ class CriterionVerdict:
 
 @dataclass
 class Witness:
-    """Hermitian witness matrix with its bipartite dims and a provenance
-    note ("exact" or "heuristic") describing how block positivity was
-    established.  Stored unnormalized; `normalized` rescales to unit trace
-    (the detection predicate sign(Tr(W rho)) is scale-invariant)."""
+    """Hermitian witness matrix with its bipartite dims, stored
+    unnormalized (the detection predicate sign(Tr(W rho)) is
+    scale-invariant)."""
 
     mat: np.ndarray
     dims: tuple
-    provenance: str = "exact"
-
-    def normalized(self) -> "Witness":
-        t = float(np.real(np.trace(self.mat)))
-        return Witness(self.mat / t, self.dims, self.provenance)
 
 
 def ppt_check(rho: states.DensityMatrix) -> CriterionVerdict:
@@ -117,7 +102,7 @@ def diagonal_lattice_witness(I: int, p, delta: float) -> Witness:
     coeffs = 0.25 * (1.0 - states.lattice_indicator(I))
     coeffs -= delta / 4.0 * states.lattice_indicator(states.points_mask([p]))
     choi = maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
-    return Witness(choi.choi, (4, 4), "exact")
+    return Witness(choi.choi, (4, 4))
 
 
 def _delta_choi(I: int, p, delta: float) -> maps.ChoiMap:
@@ -151,29 +136,3 @@ def max_delta(I: int, p, seed: int = 0xC0FFEE, restarts: int = 64) -> float:
         raise DeltaViolated(f"see-saw value {val!r} > 1 at delta {delta} on {I:#06x}, {p}")
     return delta
 
-
-def edge_witness(delta_state: states.DensityMatrix, seed: int = 0xC0FFEE,
-                 restarts: int = 64) -> Witness:
-    """Non-decomposable witness a(P + Q^{T2}) - eps*1 built from a PPT
-    state: P and Q project onto the kernels of the state and of its
-    partial transpose, a = 1/Tr(P + Q), and eps is the heuristic see-saw
-    minimum of the product expectation of a(P + Q^{T2})."""
-    rho = delta_state.mat
-    pt = linalg.partial_transpose(rho, delta_state.dims, which=2)
-    if not linalg.is_psd(pt):
-        raise NotPpt("input state has a negative partial transpose")
-
-    def kernel_projector(M):
-        vals, vecs = linalg.hermitian_eig(M)
-        cols = vecs[:, vals < 1e-9]
-        return cols @ cols.conj().T, cols.shape[1]
-
-    P, kp = kernel_projector(rho)
-    QT2, kq = kernel_projector(pt)
-    if kp + kq == 0:
-        raise ZeroKernels("state and partial transpose are both full rank")
-    core = P + linalg.partial_transpose(QT2, delta_state.dims, which=2)
-    a = 1.0 / float(np.real(np.trace(core)))
-    cm = maps.ChoiMap(a * core, delta_state.dims[0], delta_state.dims[1])
-    eps, _, _ = maps.seesaw_extremum(cm, restarts=restarts, seed=seed, minimize=True)
-    return Witness(a * core - eps * np.eye(rho.shape[0]), delta_state.dims, "heuristic")

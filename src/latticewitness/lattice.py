@@ -31,11 +31,14 @@ from operator import index
 import numpy as np
 
 from . import criteria, linalg, pauli, states
-from .criteria import NotPpt
 from .states import EmptySubset, check_mask  # EmptySubset is re-exported
 
 
 class BadCovering(ValueError):
+    pass
+
+
+class NotPpt(ValueError):
     pass
 
 
@@ -101,11 +104,6 @@ _QUAD_BITS = {q: [b for b in range(16) if q >> b & 1] for q in QUAD_MASKS}  # ma
 # _QUAD_TRANSLATE[i][s]: the index of the translate of quadruple i by ALL_POINTS[s]
 _QUAD_TRANSLATE = [[QUAD_MASKS.index(img) for img in _translates(q)] for q in QUAD_MASKS]
 _QUADS_THROUGH = [[q for q in QUAD_MASKS if q >> b & 1] for b in range(16)]  # per bit, the 15 quadruples through it
-
-
-def quadruples_q00() -> list:
-    """The 15 special quadruples containing (0,0), in sorted order."""
-    return [q for q in ALL_QUADRUPLES if q[0] == (0, 0)]
 
 
 def exact_delta(I: int, p) -> float:

@@ -197,7 +197,3 @@ def reshuffle(M: np.ndarray, dims) -> np.ndarray:
 def min_eig(M: np.ndarray) -> float:
     w, _ = hermitian_eig(M, 1e-8)
     return float(w[-1])
-
-
-def is_psd(M: np.ndarray) -> bool:
-    return min_eig(M) >= -1e-9

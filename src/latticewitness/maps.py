@@ -73,15 +73,6 @@ def choi_of_kraus(k: KrausSet, in_dim: int) -> ChoiMap:
     return ChoiMap(C, in_dim, out_dim)
 
 
-def apply(m: ChoiMap, X: np.ndarray) -> np.ndarray:
-    """Apply the map to X by contracting against the Choi matrix."""
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (m.in_dim, m.in_dim):
-        raise linalg.DimMismatch(f"input shape {X.shape} does not match in_dim {m.in_dim}")
-    T = m.choi.reshape(m.in_dim, m.out_dim, m.in_dim, m.out_dim)
-    return m.in_dim * np.einsum("ip,ijpq->jq", X, T)
-
-
 def extend_apply(m: ChoiMap, rho: states.DensityMatrix) -> np.ndarray:
     """(id x L)[rho] for a bipartite rho with the map acting on party 2."""
     d1, d2 = rho.dims
@@ -99,21 +90,6 @@ def is_completely_positive(m: ChoiMap):
         raise linalg.NotHermitian("Choi matrix is not Hermitian")
     low = linalg.min_eig(m.choi)
     return low >= -1e-9, low
-
-
-@dataclass
-class SeesawResult:
-    """Outcome of the product-vector see-saw on a Choi matrix.
-
-    `violated` carries a sound certificate (psi, phi, value with
-    value < -1e-9); otherwise the result only says the heuristic found
-    no violation ("presumed positive"), with the extremal value found.
-    """
-
-    violated: bool
-    value: float
-    psi: np.ndarray
-    phi: np.ndarray
 
 
 _eigh_lo = np.linalg._umath_linalg.eigh_lo  # the LAPACK gufunc behind np.linalg.eigh
@@ -204,16 +180,6 @@ def seesaw_extremum(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE, minimi
     return float(val[best]), psi[best], phi[best]
 
 
-def block_positivity_seesaw(m: ChoiMap, restarts: int = 64, seed: int = 0xC0FFEE) -> SeesawResult:
-    """Search for a product vector with <psi x phi|C|psi x phi> < 0.
-
-    A violation is a sound entanglement/non-positivity certificate; the
-    no-violation outcome is heuristic.
-    """
-    val, psi, phi = seesaw_extremum(m, restarts, seed, minimize=True)
-    return SeesawResult(val < -1e-9, val, psi, phi)
-
-
 def product_expectation(m: ChoiMap, psi: np.ndarray, phi: np.ndarray) -> float:
     v = np.kron(psi, phi)
     return float(np.real(np.vdot(v, m.choi @ v)))
@@ -287,30 +253,11 @@ def phi_v_map(v_col, v_row) -> ChoiMap:
     return ChoiMap(tr - tp - sand, 4, 4)
 
 
-def coefficient_matrix(m: ChoiMap) -> np.ndarray:
-    """Full coefficient matrix lambda_{w,w'} with L = sum lambda_{w,w'} S_{w,w'},
-    where S_{w,w'}[X] = sigma_w X sigma_w'; equals <Psi_w|C|Psi_w'>."""
-    d = m.in_dim
-    n = d.bit_length() - 1
-    if 2**n != d or m.out_dim != d:
-        raise BadParameter("coefficient extraction needs a square qubit algebra")
-    B = states._basis_vectors(n)  # rows are <Psi_w|
-    return B.conj() @ m.choi @ B.T
-
-
-def diagonalize_map(coeff_matrix: np.ndarray, n: int) -> SigmaDiagMap:
-    """Keep only the diagonal lambda_{w,w} of a full coefficient matrix."""
-    coeff_matrix = np.asarray(coeff_matrix)
-    if coeff_matrix.shape != (4**n, 4**n):
-        raise BadParameter(f"expected a {4**n}x{4**n} coefficient matrix")
-    diag = np.real(np.diag(coeff_matrix))
-    return SigmaDiagMap(n, diag)
-
-
 def stormer_cp_part(m: SigmaDiagMap, mu: float):
     """Write the input as mu * (trace map - cp part); returns
-    (cp part coefficients as a SigmaDiagMap, all-nonnegative flag)."""
-    if mu <= 0:
-        raise NonPositiveMu("mu must be positive")
+    (cp part coefficients as a SigmaDiagMap, all-nonnegative flag).
+    `mu` must be finite and positive, else `NonPositiveMu`."""
+    if not 0 < mu < np.inf:  # NaN fails this too
+        raise NonPositiveMu(f"mu must be finite and positive, got {mu}")
     cp = 1.0 / 2**m.n - m.coeffs / mu
     return SigmaDiagMap(m.n, cp), bool(np.all(cp >= -1e-12))

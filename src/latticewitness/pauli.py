@@ -11,6 +11,8 @@ iff one is the identity or they are equal.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 PauliWord = tuple
@@ -38,8 +40,8 @@ PRODUCT_PHASE = tuple(tuple(complex(np.trace(SIGMA[a] @ SIGMA[m] @ SIGMA[a ^ m])
 COMMUTE_SIGN = tuple(tuple(1 if a * g == 0 or a == g else -1 for g in range(4)) for a in range(4))
 
 
-def check_index(a) -> int:
-    a = int(a)
+def check_index(a) -> int:  # an index that is not an integer (1.5, 1.0) raises TypeError
+    a = index(a)
     if not 0 <= a <= 3:
         raise ValueError(f"Pauli index out of range: {a}")
     return a

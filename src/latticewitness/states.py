@@ -1,6 +1,6 @@
 # src/latticewitness/states.py
-"""State constructors and functionals (entropy, Schmidt decomposition);
-every sigma-diagonal matrix sum_w c_w P_w is summed by `_projector_sum`.
+"""State constructors and named reference states; every sigma-diagonal
+matrix sum_w c_w P_w is summed by `_projector_sum`.
 
 Conventions fixed here:
   * the maximally entangled vector carries a 1/sqrt(d) prefactor, so the
@@ -102,13 +102,6 @@ def _projector_sum(coeffs, n: int) -> np.ndarray:
     helper threads that keep spinning after the call, which doubled the
     process CPU of the see-saw and of certificate checks."""
     return (coeffs[:, None, None] * _basis_projectors(n)).sum(axis=0)
-
-
-def basis_projector(w) -> DensityMatrix:
-    """Projector onto (1 x sigma_w)|max symmetric>; the basis element P_w."""
-    n = len(w)
-    d = 2**n
-    return DensityMatrix(_basis_projectors(n)[word_flat_index(w)].copy(), (d, d))
 
 
 def sigma_diagonal_state(n: int, weights) -> DensityMatrix:
@@ -260,38 +253,3 @@ def horodecki_2x4(b: float) -> DensityMatrix:
     M[4, 7] = M[7, 4] = x
     return DensityMatrix(M.astype(complex) / (7 * b + 1), (2, 4))
 
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum lambda ln lambda (natural log)."""
-    w, _ = linalg.hermitian_eig(rho.mat)
-    w = np.clip(w.real, 0.0, None)
-    nz = w[w > 1e-15]
-    return float(-np.sum(nz * np.log(nz)))
-
-
-def schmidt(v: np.ndarray, dims):
-    """Schmidt decomposition of a bipartite unit vector.
-
-    Returns (coefficients descending, left columns, right columns); the
-    vector columns are kept only for coefficients above 1e-12, and
-    v = sum_i c_i (left_i x right_i) within numerical precision.
-    """
-    d1, d2 = dims
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (d1 * d2,):
-        raise linalg.DimMismatch(f"vector length {v.shape} does not match dims {dims}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise OutOfRange("schmidt expects a unit vector")
-    X = v.reshape(d1, d2)
-    w, U = linalg.hermitian_eig(X @ X.conj().T)
-    coeffs = np.sqrt(np.clip(w.real, 0.0, None))[: min(d1, d2)]
-    left = []
-    right = []
-    for i, c in enumerate(coeffs):
-        if c > 1e-12:
-            li = U[:, i]
-            left.append(li)
-            right.append(X.T @ li.conj() / c)  # v = sum c_i (l_i x r_i)
-    left = np.array(left).T if left else np.zeros((d1, 0), dtype=complex)
-    right = np.array(right).T if right else np.zeros((d2, 0), dtype=complex)
-    return coeffs, left, right

@@ -149,7 +149,7 @@ def test_08_quadruple_census(capsys):
             w3 = tuple(pauli.pauli_product(a, b)[0] for a, b in zip(w1, w2))
             if w3 not in (w1, w2, (0, 0)):
                 expect_q00.add(tuple(sorted(((0, 0), w1, w2, w3))))
-    got_q00 = set(lattice.quadruples_q00())
+    got_q00 = {q for q in quads if q[0] == (0, 0)}
     ok = (len(quads) == 60 and all(c == 15 for c in per_point)
           and len(got_q00) == 15 and got_q00 == expect_q00)
     _report(capsys, "quadruple-census", ok,

@@ -318,33 +318,3 @@ def test_witness_path_runs_on_the_calling_thread_only():
         states.sigma_diagonal_state(2, w)
     proc, thread = time.process_time() - proc, time.thread_time() - thread
     assert proc / thread <= 1.3
-
-
-def test_edge_witness_detects_its_source_state():
-    for src in (states.upb_complement_state(states.tiles_upb(), (3, 3)),
-                states.horodecki_2x4(0.5)):
-        W = criteria.edge_witness(src, restarts=16)
-        assert W.provenance == "heuristic"
-        assert criteria.witness_value(W, src) < -1e-5
-        # nonnegative on random separable states up to the heuristic margin
-        rng = np.random.default_rng(46)
-        for _ in range(20):
-            sep = random_separable(rng, *src.dims)
-            assert criteria.witness_value(W, sep) > -1e-9
-
-
-def test_edge_witness_error_paths():
-    with pytest.raises(criteria.NotPpt):
-        criteria.edge_witness(states.werner_state(1.0))
-    with pytest.raises(criteria.ZeroKernels):
-        criteria.edge_witness(states.DensityMatrix(np.eye(4) / 4, (2, 2)))
-
-
-def test_witness_normalization_preserves_sign():
-    W = criteria.diagonal_lattice_witness(0x00FF, (0, 0), 1.0)
-    Wn = W.normalized()
-    rho = states.lattice_state(0x00FF)
-    a = criteria.witness_value(W, rho)
-    b = criteria.witness_value(Wn, rho)
-    assert a < 0 and b < 0
-    assert abs(np.trace(Wn.mat) - 1) < 1e-12

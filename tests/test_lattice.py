@@ -8,6 +8,8 @@ import pytest
 
 from latticewitness import cli, criteria, lattice, linalg, pauli, states
 
+Q00 = [q for q in lattice.ALL_QUADRUPLES if q[0] == (0, 0)]  # the 15 through the origin, sorted
+
 
 def test_quadruple_census():
     quads = lattice.ALL_QUADRUPLES
@@ -19,10 +21,7 @@ def test_quadruple_census():
     # each lattice point lies in exactly 15 quadruples
     for p in lattice.ALL_POINTS:
         assert sum(p in q for q in quads) == 15
-    q00 = lattice.quadruples_q00()
-    assert len(q00) == 15
-    for q in q00:
-        assert (0, 0) in q
+    assert len(Q00) == 15
 
 
 def test_quadruples_are_the_translates_of_the_commuting_planes():
@@ -44,12 +43,12 @@ def test_quadruples_are_the_translates_of_the_commuting_planes():
     translates = {tuple(sorted(points[product(t, b)] for b in q)) for q in commuting for t in range(16)}
     assert len(translates) == 60
     assert lattice.ALL_QUADRUPLES == sorted(translates)
-    assert lattice.quadruples_q00() == sorted(tuple(sorted(points[b] for b in q)) for q in commuting)
+    assert Q00 == sorted(tuple(sorted(points[b] for b in q)) for q in commuting)
 
 
 def test_q00_quadruples_pairwise_commute():
     # the words of a special quadruple through the origin commute pairwise
-    for q in lattice.quadruples_q00():
+    for q in Q00:
         for i in range(4):
             for j in range(i + 1, 4):
                 assert pauli.words_commute(q[i], q[j])
@@ -58,12 +57,11 @@ def test_q00_quadruples_pairwise_commute():
 def test_nonzero_word_commutant_structure():
     # every nonzero two-qudit word commutes with exactly 6 other nonzero
     # words and lies in exactly 3 origin quadruples
-    q00 = lattice.quadruples_q00()
     nonzero = [p for p in lattice.ALL_POINTS if p != (0, 0)]
     for w in nonzero:
         others = [v for v in nonzero if v != w and pauli.words_commute(w, v)]
         assert len(others) == 6
-        assert sum(w in q for q in q00) == 3
+        assert sum(w in q for q in Q00) == 3
 
 
 def test_quadruple_states_separable_and_ppt():
@@ -105,9 +103,10 @@ def test_criteria_require_ppt():
 
 
 def test_exhaustive_criteria_implications():
-    # on every PPT mask the one-point criterion implies the k-criterion;
-    # on every mask the special-subset flag is absent exactly when the
-    # quadruples inside I cover I (checked on point tuples)
+    # on every PPT mask the one-point criterion implies the k-criterion,
+    # and a special-subset point exists exactly when the k-criterion
+    # fires; on every mask the special-subset flag is absent exactly when
+    # the quadruples inside I cover I (checked on point tuples)
     quads = [frozenset(q) for q in lattice.ALL_QUADRUPLES]
     n_ppt = 0
     for mask in range(1, 1 << 16):
@@ -115,6 +114,7 @@ def test_exhaustive_criteria_implications():
             n_ppt += 1
             if lattice.entangled_one_point(mask) is not None:
                 assert lattice.k_criterion(mask) is not None
+            assert (lattice.special_subset_point(mask) is None) == (lattice.k_criterion(mask) is None)
         points = frozenset(states.mask_points(mask))
         covered = set()
         for q in quads:
@@ -192,11 +192,11 @@ def test_certificate_rejects_weights_that_are_not_positive_integers():
     def cosets(q):
         return {lattice._QUADRUPLE[lattice.translate_mask(t, states.points_mask(q))] for t in lattice.ALL_POINTS}
 
-    first, second = lattice.quadruples_q00()[:2]
+    first, second = Q00[:2]
     items = [(q, 2) for q in cosets(first)] + [(q, -1) for q in cosets(second)]
     with pytest.raises(lattice.BadCovering, match="positive integer"):
         lattice.separability_certificate(0xFFFF, lattice.Covering(items, 1))
-    q = lattice.quadruples_q00()[0]
+    q = Q00[0]
     for w in (0, 1.0, 0.5):
         with pytest.raises(lattice.BadCovering, match="positive integer"):
             lattice.separability_certificate(states.points_mask(q), lattice.Covering([(q, w)], w))

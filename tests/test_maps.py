@@ -17,6 +17,10 @@ def random_matrix(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
+def apply_map(cm, X):  # L[X], as (id x L) on a bipartite state with a 1-dim first party
+    return maps.extend_apply(cm, states.DensityMatrix(X, (1, cm.in_dim)))
+
+
 def test_kraus_choi_round_trip_on_200_random_maps():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -26,7 +30,7 @@ def test_kraus_choi_round_trip_on_200_random_maps():
         cm = maps.choi_of_kraus(maps.KrausSet(terms), d)
         X = random_matrix(rng, d)
         direct = sum(c * (A @ X @ A.conj().T) for c, A in terms)
-        assert np.allclose(maps.apply(cm, X), direct, atol=1e-10)
+        assert np.allclose(apply_map(cm, X), direct, atol=1e-10)
 
 
 def test_choi_of_diag_spectrum_is_the_coefficient_multiset():
@@ -45,18 +49,19 @@ def test_diag_map_applies_as_weighted_conjugations():
         coeffs[states.word_flat_index(w)] * pauli.word_matrix(w) @ X @ pauli.word_matrix(w)
         for w in states.words(2)
     )
-    assert np.allclose(maps.apply(cm, X), direct, atol=1e-10)
+    assert np.allclose(apply_map(cm, X), direct, atol=1e-10)
 
 
 def test_coefficient_matrix_round_trip():
+    # lambda_{w,w'} = <Psi_w|C|Psi_w'> of a sigma-diagonal map is diagonal,
+    # with the coefficients on the diagonal
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=16)
     cm = maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
-    C = maps.coefficient_matrix(cm)
+    B = states._basis_vectors(2)  # rows are <Psi_w|
+    C = B.conj() @ cm.choi @ B.T
     assert np.allclose(np.diag(C), coeffs, atol=1e-10)
     assert np.allclose(C - np.diag(np.diag(C)), 0, atol=1e-10)
-    back = maps.diagonalize_map(C, 2)
-    assert np.allclose(back.coeffs, coeffs, atol=1e-10)
 
 
 def test_trace_map_sends_everything_to_the_trace():
@@ -65,7 +70,7 @@ def test_trace_map_sends_everything_to_the_trace():
         d = 2 ** n
         cm = maps.choi_of_diag(maps.trace_map(n))
         X = random_matrix(rng, d)
-        assert np.allclose(maps.apply(cm, X), np.trace(X) * np.eye(d), atol=1e-10)
+        assert np.allclose(apply_map(cm, X), np.trace(X) * np.eye(d), atol=1e-10)
 
 
 def test_transposition_map_transposes():
@@ -74,7 +79,7 @@ def test_transposition_map_transposes():
         d = 2 ** n
         cm = maps.choi_of_diag(maps.transposition_map(n))
         X = random_matrix(rng, d)
-        assert np.allclose(maps.apply(cm, X), X.T, atol=1e-10)
+        assert np.allclose(apply_map(cm, X), X.T, atol=1e-10)
 
 
 def test_transposition_and_reduction_are_positive_but_not_cp():
@@ -94,7 +99,7 @@ def test_reduction_map_action():
     rng = np.random.default_rng(6)
     d = 3
     X = random_matrix(rng, d)
-    got = maps.apply(maps.reduction_map(d), X)
+    got = apply_map(maps.reduction_map(d), X)
     assert np.allclose(got, np.trace(X) * np.eye(d) - X, atol=1e-10)
 
 
@@ -108,8 +113,10 @@ def test_stormer_split_of_transposition():
     assert len(hits) == 6 and all(list(w).count(2) == 1 for w in hits)
     _, nonneg_small = maps.stormer_cp_part(maps.transposition_map(2), 0.5)
     assert not nonneg_small
-    with pytest.raises(maps.NonPositiveMu):
-        maps.stormer_cp_part(maps.transposition_map(2), 0.0)
+    # NaN gave an all-NaN map flagged not CP, inf the trace map flagged CP
+    for mu in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(maps.NonPositiveMu):
+            maps.stormer_cp_part(maps.transposition_map(2), mu)
 
 
 def test_gamma_family_is_positive_but_not_cp_for_positive_times():
@@ -118,13 +125,12 @@ def test_gamma_family_is_positive_but_not_cp_for_positive_times():
     rng = np.random.default_rng(7)
     X = random_matrix(rng, 4)
     cm0 = maps.choi_of_diag(maps.gamma_map(0.0))
-    assert np.allclose(maps.apply(cm0, X), X, atol=1e-10)
+    assert np.allclose(apply_map(cm0, X), X, atol=1e-10)
     for t in (0.1, 0.5, 2.0):
         cm = maps.choi_of_diag(maps.gamma_map(t))
         ok, low = maps.is_completely_positive(cm)
         assert not ok and low < -1e-3
-        res = maps.block_positivity_seesaw(cm, restarts=16)
-        assert not res.violated
+        assert maps.seesaw_extremum(cm, restarts=16)[0] >= -1e-9
     for t in (-0.1, float("nan")):
         with pytest.raises(maps.BadParameter):
             maps.gamma_map(t)
@@ -182,7 +188,9 @@ def test_extend_apply_matches_kron_of_choi_action():
     B = random_matrix(rng, 4)
     R = np.kron(A, B)
     rho = states.DensityMatrix(R, (4, 4))
-    assert np.allclose(maps.extend_apply(cm, rho), np.kron(A, maps.apply(cm, B)), atol=1e-9)
+    LB = sum(coeffs[states.word_flat_index(w)] * pauli.word_matrix(w) @ B @ pauli.word_matrix(w)
+             for w in states.words(2))
+    assert np.allclose(maps.extend_apply(cm, rho), np.kron(A, LB), atol=1e-9)
 
 
 def test_seesaw_is_deterministic_and_bounded_by_extremal_eigenvalues():
@@ -241,17 +249,14 @@ def test_seesaw_rejects_fewer_than_one_restart():
     for restarts in (0, -1):
         with pytest.raises(maps.BadParameter):
             maps.seesaw_extremum(cm, restarts=restarts)
-        with pytest.raises(maps.BadParameter):
-            maps.block_positivity_seesaw(cm, restarts=restarts)
 
 
 def test_seesaw_certificate_is_reproducible_from_the_vectors():
     cm = maps.choi_of_diag(maps.transposition_map(2))
-    res = maps.block_positivity_seesaw(cm, restarts=16, seed=99)
+    val, psi, phi = maps.seesaw_extremum(cm, restarts=16, seed=99)
     # transposition is a positive map: block positive Choi, min exactly 0
-    assert not res.violated
-    assert abs(res.value - maps.product_expectation(cm, res.psi, res.phi)) < 1e-10
-    assert res.value > -1e-9
+    assert abs(val - maps.product_expectation(cm, psi, phi)) < 1e-10
+    assert val > -1e-9
 
 
 def test_seesaw_finds_violations_of_non_positive_maps():
@@ -260,9 +265,9 @@ def test_seesaw_finds_violations_of_non_positive_maps():
     coeffs[0] = 0.1
     coeffs[5] = -1.0
     cm = maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
-    res = maps.block_positivity_seesaw(cm, restarts=16, seed=7)
-    assert res.violated
-    assert maps.product_expectation(cm, res.psi, res.phi) < -1e-6
+    val, psi, phi = maps.seesaw_extremum(cm, restarts=16, seed=7)
+    assert val < -1e-9
+    assert maps.product_expectation(cm, psi, phi) < -1e-6
 
 
 def test_seesaw_rejects_a_non_hermitian_choi_matrix():

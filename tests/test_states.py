@@ -7,8 +7,16 @@ import pytest
 from latticewitness import linalg, maps, pauli, states
 
 
+def basis_projector(w):  # the basis element P_w
+    return states._basis_projectors(len(w))[states.word_flat_index(w)]
+
+
+def schmidt_coefficients(v, d1, d2):  # numpy's SVD as an independent oracle
+    return np.linalg.svd(np.reshape(v, (d1, d2)), compute_uv=False)
+
+
 def test_basis_projectors_are_orthonormal_rank_one():
-    projs = [states.basis_projector(w).mat for w in states.words(2)]
+    projs = [basis_projector(w) for w in states.words(2)]
     for i, P in enumerate(projs):
         assert abs(np.trace(P) - 1) < 1e-12
         assert np.allclose(P @ P, P)
@@ -64,7 +72,7 @@ def test_lattice_indicator_and_state_match_the_projector_sum():
                 assert ind[4 * alpha + beta] == ((alpha, beta) in points)
         ref = np.zeros((16, 16), dtype=complex)
         for alpha, beta in points:
-            ref += states.basis_projector((alpha, beta)).mat
+            ref += basis_projector((alpha, beta))
         assert np.array_equal(states.lattice_state(mask).mat, ref / len(points))
 
 
@@ -87,7 +95,7 @@ def test_projector_sum_matches_the_tensordot_reference():
 
 def test_basis_projectors_refuse_three_qubits_before_allocating():
     with pytest.raises(pauli.TooLarge):
-        states.basis_projector((0, 0, 0))
+        basis_projector((0, 0, 0))
     with pytest.raises(pauli.TooLarge):
         states.sigma_diagonal_state(3, np.full(64, 1 / 64))
     with pytest.raises(pauli.TooLarge):
@@ -110,7 +118,7 @@ def test_bell_states_are_orthonormal_and_maximally_entangled():
     for i, v in enumerate(vecs):
         for j, w in enumerate(vecs):
             assert abs(np.vdot(v, w) - (i == j)) < 1e-12
-        coeffs, _, _ = states.schmidt(v, (2, 2))
+        coeffs = schmidt_coefficients(v, 2, 2)
         assert np.allclose(coeffs[:2], [np.sqrt(0.5)] * 2) and np.sum(coeffs > 1e-6) == 2
 
 
@@ -132,7 +140,7 @@ def test_tiles_vectors_are_an_orthonormal_product_family():
     vecs = states.tiles_upb()
     assert len(vecs) == 5
     for i, v in enumerate(vecs):
-        coeffs, _, _ = states.schmidt(v, (3, 3))
+        coeffs = schmidt_coefficients(v, 3, 3)
         assert np.sum(coeffs > 1e-6) == 1 and abs(coeffs[0] - 1) < 1e-10  # product vector
         for w in vecs[i + 1:]:
             assert abs(np.vdot(v, w)) < 1e-12
@@ -148,7 +156,7 @@ def test_tiles_family_is_unextendible():
     for _ in range(50):
         c = rng.normal(size=4) + 1j * rng.normal(size=4)
         v = basis @ c
-        coeffs, _, _ = states.schmidt(v / np.linalg.norm(v), (3, 3))
+        coeffs = schmidt_coefficients(v / np.linalg.norm(v), 3, 3)
         assert np.sum(coeffs > 1e-6) > 1
 
 
@@ -174,7 +182,7 @@ def test_even_d_upb_orthonormal_products():
         vecs = states.even_d_upb(d)
         assert len(vecs) == 2 * (d // 2 - 1) * d  # two families, m = 1..d/2-1, n = 0..d-1
         for i, v in enumerate(vecs):
-            coeffs, _, _ = states.schmidt(v, (d, d))
+            coeffs = schmidt_coefficients(v, d, d)
             assert np.sum(coeffs > 1e-6) == 1 and abs(coeffs[0] - 1) < 1e-10
             for w in vecs[i + 1:]:
                 assert abs(np.vdot(v, w)) < 1e-10
@@ -196,26 +204,9 @@ def test_horodecki_families_are_ppt_densities():
         assert np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (2, 4), 2))[0] > -1e-10
 
 
-def test_schmidt_reconstructs_the_vector():
-    rng = np.random.default_rng(4)
-    for d1, d2 in ((2, 2), (3, 4), (4, 4)):
-        v = rng.normal(size=d1 * d2) + 1j * rng.normal(size=d1 * d2)
-        v /= np.linalg.norm(v)
-        coeffs, left, right = states.schmidt(v, (d1, d2))
-        rebuilt = sum(c * np.kron(left[:, i], right[:, i]) for i, c in enumerate(coeffs))
-        assert np.allclose(rebuilt, v, atol=1e-8)
-        assert abs(np.sum(coeffs ** 2) - 1) < 1e-10
-
-
-def test_von_neumann_entropy_of_bell_reduction():
-    v = states.bell_state("phi+")
-    red = linalg.partial_trace(np.outer(v, v.conj()), (2, 2), which=2)
-    assert abs(states.von_neumann_entropy(states.DensityMatrix(red, (2, 1))) - np.log(2)) < 1e-12
-
-
 def test_max_symmetric_vector_projector_matches_word_zero():
     v = states.max_symmetric_vector(4)
-    P0 = states.basis_projector((0, 0)).mat
+    P0 = basis_projector((0, 0))
     assert np.allclose(np.outer(v, v.conj()), P0)
 
 
@@ -226,7 +217,7 @@ def test_lattice_state_word_expectations_flag_membership():
     n = bin(mask).count("1")
     for alpha in range(4):
         for beta in range(4):
-            P = states.basis_projector((alpha, beta)).mat
+            P = basis_projector((alpha, beta))
             val = np.real(np.trace(rho.mat @ P))
             expected = 1.0 / n if mask >> (4 * beta + alpha) & 1 else 0.0
             assert abs(val - expected) < 1e-12
