@@ -2,7 +2,7 @@
 sigma-diagonal bipartite states, built around 16x16 lattice states.
 
 Headline entry points: `lattice.classify` for a single subset,
-`lattice.survey_all` for the exhaustive sweep, `criteria` for numeric
+`lattice.survey` for the exhaustive sweep, `criteria` for numeric
 detectors and witnesses, and the `lw` command-line tool.
 """
 

@@ -49,7 +49,7 @@ class Witness:
 def ppt_check(rho: states.DensityMatrix) -> CriterionVerdict:
     """Partial-transposition test: detected iff PT over the second party
     has an eigenvalue below -1e-9."""
-    pt = linalg.partial_transpose(rho.mat, rho.dims, which=2)
+    pt = linalg.partial_transpose(rho.mat, rho.dims)
     low = linalg.min_eig(pt)
     return CriterionVerdict("ppt", low < -1e-9, low)
 
@@ -101,7 +101,7 @@ def diagonal_lattice_witness(I: int, p, delta: float) -> Witness:
         raise maps.BadParameter(f"delta must be finite, got {delta}")
     coeffs = 0.25 * (1.0 - states.lattice_indicator(I))
     coeffs -= delta / 4.0 * states.lattice_indicator(states.points_mask([p]))
-    choi = maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
+    choi = maps.choi_of_diag(coeffs)
     return Witness(choi.choi, (4, 4))
 
 
@@ -109,7 +109,7 @@ def _delta_choi(I: int, p, delta: float) -> maps.ChoiMap:
     # Choi whose product expectation equals the block-positivity margin:
     # coefficient 1 on I plus an extra delta at p.
     coeffs = states.lattice_indicator(I) + delta * states.lattice_indicator(states.points_mask([p]))
-    return maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
+    return maps.choi_of_diag(coeffs)
 
 
 def delta_violation(I: int, p, delta: float, restarts: int = 64, seed: int = 0xC0FFEE):

@@ -321,16 +321,21 @@ def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     `ALL_QUADRUPLES` with a positive integer weight."""
     I = check_mask(I)
     counts = [0] * 16
-    items = [(tuple(tuple(p) if isinstance(p, list) else p for p in q), w) for q, w in covering.items]
-    for q, w in items:
+    items = []
+    for q, w in covering.items:
+        try:
+            q = tuple(pauli.check_point(p) for p in q)
+        except (TypeError, ValueError):
+            raise BadCovering(f"{q!r} has a point that is not a lattice point") from None
         if q not in _QUAD_INDEX:
             raise BadCovering(f"{q} is not a special quadruple")
         if QUAD_MASKS[_QUAD_INDEX[q]] & ~I:
             raise BadCovering("covering quadruple leaves the subset")
         if not isinstance(w, int) or w < 1:
             raise BadCovering(f"weight {w!r} is not a positive integer")
-        for p in q:
-            counts[point_bit(p)] += w
+        for a, b in q:
+            counts[4 * b + a] += w
+        items.append((ALL_QUADRUPLES[_QUAD_INDEX[q]], w))  # shared: a record holds no copied points
     M = covering.multiplicity  # uniform on I implies 4 N_Q = M N_I, as 4 points per quadruple
     if any((counts[b] != 0) != bool(I >> b & 1) or (I >> b & 1 and counts[b] != M) for b in range(16)):
         raise BadCovering("covering is not uniform on the subset")
@@ -352,7 +357,7 @@ def pt_min_eig(I: int) -> float:
     cross-validation checks the combinatorial PPT test and the exact
     NptEntangled eigenvalue."""
     rho = states.lattice_state(I)
-    return float(np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (4, 4), 2))[0])
+    return float(np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (4, 4)))[0])
 
 
 @dataclass(slots=True)

@@ -170,15 +170,11 @@ def partial_trace(M: np.ndarray, dims, which: int) -> np.ndarray:
     raise ValueError("which must be 1 or 2")
 
 
-def partial_transpose(M: np.ndarray, dims, which: int = 2) -> np.ndarray:
-    """Transpose subsystem `which` (1 or 2)."""
-    T = _bipartite(M, dims)
+def partial_transpose(M: np.ndarray, dims) -> np.ndarray:
+    """Transpose subsystem 2.  The transpose on subsystem 1 is the full
+    transpose of this one, so it has the same spectrum."""
     d1, d2 = dims
-    if which == 1:
-        return T.transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2)
-    if which == 2:
-        return T.transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)
-    raise ValueError("which must be 1 or 2")
+    return _bipartite(M, dims).transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)
 
 
 def reshuffle(M: np.ndarray, dims) -> np.ndarray:

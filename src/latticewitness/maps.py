@@ -6,10 +6,11 @@ C = (id x L)[P+] with the *normalized* maximally entangled projector,
 so entry C[(i,j),(p,q)] = (1/n) <j| L[|i><p|] |q> and the Choi matrix
 of the identity map is P+ itself (trace 1).
 
-Sigma-diagonal maps L = sum_w lambda_w S_w (S_w[X] = sigma_w X sigma_w)
-are kept as plain coefficient vectors; their Choi matrix
-sum_w lambda_w P_w (summed by `states._projector_sum`, like every
-sigma-diagonal matrix) has exactly the coefficients as eigenvalues.
+Each party holds two qubits, so a sigma-diagonal map L = sum_w lambda_w S_w
+(S_w[X] = sigma_w X sigma_w) on M_4 is a plain vector of 16 coefficients in
+flat word order; its Choi matrix sum_w lambda_w P_w (summed by
+`states._projector_sum`, like every sigma-diagonal matrix) has exactly the
+coefficients as eigenvalues.
 """
 
 from __future__ import annotations
@@ -41,24 +42,20 @@ class ChoiMap:
 
 
 @dataclass(eq=False)
-class SigmaDiagMap:
-    n: int  # qubits per party; acts on M_{2^n}
-    coeffs: np.ndarray  # length 4^n, real, indexed by flat word index
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (4**self.n,):
-            raise BadParameter(f"expected {4**self.n} coefficients")
-
-
-@dataclass(eq=False)
 class KrausSet:
     terms: list  # of (coefficient: float, operator: ndarray)
 
 
-def choi_of_diag(m: SigmaDiagMap) -> ChoiMap:
-    """Choi matrix sum_w lambda_w P_w of a sigma-diagonal map."""
-    return ChoiMap(states._projector_sum(m.coeffs, m.n), 2**m.n, 2**m.n)
+def _diag_coeffs(coeffs) -> np.ndarray:  # the 16 coefficients of a sigma-diagonal map
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape != (16,):
+        raise BadParameter(f"expected 16 coefficients, got shape {c.shape}")
+    return c
+
+
+def choi_of_diag(coeffs) -> ChoiMap:
+    """Choi matrix sum_w lambda_w P_w of the sigma-diagonal map lambda."""
+    return ChoiMap(states._projector_sum(_diag_coeffs(coeffs)), 4, 4)
 
 
 def choi_of_kraus(k: KrausSet, in_dim: int) -> ChoiMap:
@@ -185,19 +182,16 @@ def product_expectation(m: ChoiMap, psi: np.ndarray, phi: np.ndarray) -> float:
     return float(np.real(np.vdot(v, m.choi @ v)))
 
 
-def trace_map(n: int) -> SigmaDiagMap:
-    """X -> Tr(X) 1 on M_{2^n}: all coefficients 1/2^n."""
-    return SigmaDiagMap(n, np.full(4**n, 1.0 / 2**n))
+def trace_map() -> np.ndarray:
+    """X -> Tr(X) 1 on M_4: all coefficients 1/4."""
+    return np.full(16, 0.25)
 
 
-def transposition_map(n: int) -> SigmaDiagMap:
-    """Transposition on M_{2^n}: coefficients prod_i eps_{mu_i} / 2^n,
-    eps = (1,1,-1,1)."""
+def transposition_map() -> np.ndarray:
+    """Transposition on M_4: coefficient eps_alpha eps_beta / 4 at word
+    (alpha, beta), eps = (1,1,-1,1)."""
     eps = np.array([1.0, 1.0, -1.0, 1.0])
-    coeffs = np.ones(1)
-    for _ in range(n):
-        coeffs = np.kron(coeffs, eps)
-    return SigmaDiagMap(n, coeffs / 2**n)
+    return np.kron(eps, eps) / 4
 
 
 def reduction_map(d: int) -> ChoiMap:
@@ -209,7 +203,7 @@ def reduction_map(d: int) -> ChoiMap:
     return ChoiMap(C, d, d)
 
 
-def gamma_map(t: float) -> SigmaDiagMap:
+def gamma_map(t: float) -> np.ndarray:
     """The one-parameter positive diagonal family on M_4 (t >= 0)."""
     if not t >= 0:  # NaN fails this too
         raise BadParameter("t must be nonnegative")
@@ -223,7 +217,7 @@ def gamma_map(t: float) -> SigmaDiagMap:
     for i in range(1, 4):
         coeffs[i] = eps[i] * a * b  # words (0,i)
         coeffs[4 * i] = b * cpl  # words (i,0)
-    return SigmaDiagMap(2, coeffs)
+    return coeffs
 
 
 def phi_v_map(v_col, v_row) -> ChoiMap:
@@ -247,17 +241,17 @@ def phi_v_map(v_col, v_row) -> ChoiMap:
         V += v_row[a] * pauli.word_matrix((2, a))
     if linalg.singular_values(V)[0] > 1 + 1e-10:
         raise BadParameter("V must have operator norm at most 1")
-    tr = choi_of_diag(trace_map(2)).choi
-    tp = choi_of_diag(transposition_map(2)).choi
+    tr = choi_of_diag(trace_map()).choi
+    tp = choi_of_diag(transposition_map()).choi
     sand = choi_of_kraus(KrausSet([(1.0, V.conj().T)]), 4).choi
     return ChoiMap(tr - tp - sand, 4, 4)
 
 
-def stormer_cp_part(m: SigmaDiagMap, mu: float):
-    """Write the input as mu * (trace map - cp part); returns
-    (cp part coefficients as a SigmaDiagMap, all-nonnegative flag).
-    `mu` must be finite and positive, else `NonPositiveMu`."""
+def stormer_cp_part(coeffs, mu: float):
+    """Write the sigma-diagonal map as mu * (trace map - cp part); returns
+    (cp part coefficients, all-nonnegative flag).  `mu` must be finite
+    and positive, else `NonPositiveMu`."""
     if not 0 < mu < np.inf:  # NaN fails this too
         raise NonPositiveMu(f"mu must be finite and positive, got {mu}")
-    cp = 1.0 / 2**m.n - m.coeffs / mu
-    return SigmaDiagMap(m.n, cp), bool(np.all(cp >= -1e-12))
+    cp = 0.25 - _diag_coeffs(coeffs) / mu
+    return cp, bool(np.all(cp >= -1e-12))

@@ -1,10 +1,11 @@
 # src/latticewitness/pauli.py
-"""Exact algebra of Pauli indices and tensor words.
+"""Exact algebra of Pauli indices and two-qubit Pauli words.
 
-Indices 0..3 label (identity, x, y, z).  A word is a tuple of indices,
-one per qubit; for two qubits a word doubles as a point (alpha, beta)
-of the 4x4 lattice, alpha indexing the column and beta the row.
-Only the matrices `SIGMA` are written out; the tables follow from them:
+Indices 0..3 label (identity, x, y, z).  Each party holds two qubits, so
+a word is a pair of indices and is the same thing as a point
+(alpha, beta) of the 4x4 lattice, alpha indexing the column and beta
+the row; its matrix is sigma_alpha x sigma_beta.
+Only the matrices `SIGMA` are written out; the rest follows from them:
 sigma_a sigma_m is a phase times sigma_{a ^ m}, and two Paulis commute
 iff one is the identity or they are equal.
 """
@@ -15,13 +16,7 @@ from operator import index
 
 import numpy as np
 
-PauliWord = tuple
-LatticePoint = tuple  # (alpha, beta)
-
-
-class LengthMismatch(ValueError):
-    pass
-
+LatticePoint = tuple  # (alpha, beta), also the word sigma_alpha x sigma_beta
 
 SIGMA = (
     np.array([[1, 0], [0, 1]], dtype=complex),
@@ -30,14 +25,10 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-# sigma_a sigma_m = PRODUCT_PHASE[a][m] * sigma_{PRODUCT_INDEX[a][m]}; the
-# phase is tr(sigma_a sigma_m sigma_{a^m}) / 2, as sigma_{a^m} squares to 1
-PRODUCT_INDEX = tuple(tuple(a ^ m for m in range(4)) for a in range(4))
+# sigma_a sigma_m = PRODUCT_PHASE[a][m] * sigma_{a ^ m}; the phase is
+# tr(sigma_a sigma_m sigma_{a^m}) / 2, as sigma_{a^m} squares to 1
 PRODUCT_PHASE = tuple(tuple(complex(np.trace(SIGMA[a] @ SIGMA[m] @ SIGMA[a ^ m])) / 2 for m in range(4))
                       for a in range(4))
-
-# +1 when sigma_a and sigma_g commute, -1 when they anticommute
-COMMUTE_SIGN = tuple(tuple(1 if a * g == 0 or a == g else -1 for g in range(4)) for a in range(4))
 
 
 def check_index(a) -> int:  # an index that is not an integer (1.5, 1.0) raises TypeError
@@ -54,35 +45,26 @@ def check_point(p) -> LatticePoint:  # (alpha, beta), both checked by check_inde
 
 def pauli_product(a: int, m: int) -> tuple[int, complex]:
     """Index and phase of sigma_a sigma_m."""
-    return PRODUCT_INDEX[a][m], PRODUCT_PHASE[a][m]
+    a, m = check_index(a), check_index(m)
+    return a ^ m, PRODUCT_PHASE[a][m]
 
 
 def commute_sign(a: int, g: int) -> int:
-    return COMMUTE_SIGN[a][g]
+    """+1 when sigma_a and sigma_g commute, -1 when they anticommute."""
+    a, g = check_index(a), check_index(g)
+    return 1 if a * g == 0 or a == g else -1
 
 
-def words_commute(p: PauliWord, q: PauliWord) -> bool:
-    """True iff the tensor words commute (product of per-site signs is +1)."""
-    if len(p) != len(q):
-        raise LengthMismatch(f"word lengths differ: {len(p)} vs {len(q)}")
-    sign = 1
-    for a, g in zip(p, q):
-        sign *= COMMUTE_SIGN[a][g]
-    return sign == 1
+def words_commute(p: LatticePoint, q: LatticePoint) -> bool:
+    """True iff the words commute: their qubits anticommute twice or never."""
+    (a, b), (c, d) = check_point(p), check_point(q)
+    return commute_sign(a, c) == commute_sign(b, d)
 
 
-class TooLarge(ValueError):
-    pass
-
-
-def word_matrix(p: PauliWord) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the tensor word sigma_{p_1} x ... x sigma_{p_n}."""
-    if len(p) > 3:
-        raise TooLarge("word matrices are only materialized for n <= 3")
-    out = SIGMA[check_index(p[0])]
-    for a in p[1:]:
-        out = np.kron(out, SIGMA[check_index(a)])
-    return out
+def word_matrix(p: LatticePoint) -> np.ndarray:
+    """The 4x4 matrix sigma_alpha x sigma_beta of the word (alpha, beta)."""
+    a, b = check_point(p)
+    return np.kron(SIGMA[a], SIGMA[b])
 
 
 def tau(t: LatticePoint, p: LatticePoint) -> LatticePoint:
@@ -91,5 +73,4 @@ def tau(t: LatticePoint, p: LatticePoint) -> LatticePoint:
     Involutive bijection of the lattice for every t.
     """
     (a, b), (c, d) = check_point(t), check_point(p)
-    return (PRODUCT_INDEX[a][c], PRODUCT_INDEX[b][d])
-
+    return (a ^ c, b ^ d)

@@ -6,8 +6,9 @@ Conventions fixed here:
   * the maximally entangled vector carries a 1/sqrt(d) prefactor, so the
     associated projector P+ = (1/d) sum_ij |i><j| x |i><j| is idempotent
     with unit trace;
-  * a Pauli word (mu_1, ..., mu_n) has flat index sum mu_i * 4^(n-i)
-    (big-endian), used for sigma-diagonal weight vectors;
+  * each party holds two qubits: a Pauli word is a lattice point
+    (alpha, beta) and has flat index 4*alpha + beta, so a sigma-diagonal
+    matrix is given by 16 coefficients in that order;
   * a lattice point (alpha, beta) occupies bit 4*beta + alpha of a
     16-bit subset mask.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from operator import index
 
 import numpy as np
@@ -69,49 +69,42 @@ def max_symmetric_vector(d: int) -> np.ndarray:
     return v
 
 
-def words(n: int) -> list:
-    """All 4^n Pauli words in flat-index order."""
-    return [w for w in product(range(4), repeat=n)]
+WORDS = tuple((a, b) for a in range(4) for b in range(4))  # the 16 words in flat-index order
 
 
 def word_flat_index(w) -> int:
-    idx = 0
-    for a in w:
-        idx = 4 * idx + pauli.check_index(a)
-    return idx
+    a, b = pauli.check_point(w)
+    return 4 * a + b
 
 
-def _basis_vectors(n: int) -> np.ndarray:
-    """Rows (1 x sigma_w)|max symmetric> for the 4^n words in flat-index order."""
-    d = 2**n
-    plus = max_symmetric_vector(d)
-    return np.array([linalg.tensor(np.eye(d), pauli.word_matrix(w)) @ plus for w in words(n)])
+def _basis_vectors() -> np.ndarray:
+    """Rows (1 x sigma_w)|max symmetric> for the 16 words in flat-index order."""
+    plus = max_symmetric_vector(4)
+    return np.array([linalg.tensor(np.eye(4), pauli.word_matrix(w)) @ plus for w in WORDS])
 
 
-@lru_cache(maxsize=None)  # one array per n, shared by every caller
-def _basis_projectors(n: int) -> np.ndarray:
-    """Array of the 4^n rank-1 projectors (1 x sigma_w) P+ (1 x sigma_w)."""
-    if n > 2:  # checked before allocating (4^n)^3 entries, 16 GiB at n = 5
-        raise pauli.TooLarge("basis projectors are materialized for n <= 2 only")
-    B = _basis_vectors(n)
+@lru_cache(maxsize=None)  # built on first use, then shared by every caller
+def _basis_projectors() -> np.ndarray:
+    """Array of the 16 rank-1 projectors (1 x sigma_w) P+ (1 x sigma_w)."""
+    B = _basis_vectors()
     return B[:, :, None] * B.conj()[:, None, :]
 
 
-def _projector_sum(coeffs, n: int) -> np.ndarray:
+def _projector_sum(coeffs) -> np.ndarray:
     """sum_w coeffs[w] P_w, summed without BLAS: tensordot wakes OpenBLAS
     helper threads that keep spinning after the call, which doubled the
     process CPU of the see-saw and of certificate checks."""
-    return (coeffs[:, None, None] * _basis_projectors(n)).sum(axis=0)
+    return (coeffs[:, None, None] * _basis_projectors()).sum(axis=0)
 
 
-def sigma_diagonal_state(n: int, weights) -> DensityMatrix:
-    """State sum_w r_w P_w with nonnegative weights summing to 1."""
+def sigma_diagonal_state(weights) -> DensityMatrix:
+    """State sum_w r_w P_w with 16 nonnegative weights summing to 1."""
     r = np.asarray(weights, dtype=float)
-    if r.shape != (4**n,):
-        raise BadWeights(f"expected {4**n} weights, got shape {r.shape}")
+    if r.shape != (16,):
+        raise BadWeights(f"expected 16 weights, got shape {r.shape}")
     if not (np.all(r >= -1e-12) and abs(r.sum() - 1.0) <= 1e-12):  # NaN and inf fail too
         raise BadWeights("weights must be finite, nonnegative and sum to 1")
-    return DensityMatrix(_projector_sum(r, n), (2**n, 2**n))
+    return DensityMatrix(_projector_sum(r), (4, 4))
 
 
 def mask_points(mask: int) -> list:
@@ -146,7 +139,7 @@ def lattice_indicator(mask: int) -> np.ndarray:
 def lattice_state(mask: int) -> DensityMatrix:
     """Uniform sigma-diagonal state on the lattice subset of a 16-bit mask."""
     ind = lattice_indicator(check_mask(mask))
-    return DensityMatrix(_projector_sum(ind, 2) / ind.sum(), (4, 4))
+    return DensityMatrix(_projector_sum(ind) / ind.sum(), (4, 4))
 
 
 _BELL = {

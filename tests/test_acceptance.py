@@ -21,7 +21,7 @@ def _report(capsys, name, ok, detail=""):
 
 def _warm_up():
     rho = states.werner_state(0.5)
-    linalg.min_eig(linalg.partial_transpose(rho.mat, rho.dims, 2))
+    linalg.min_eig(linalg.partial_transpose(rho.mat, rho.dims))
 
 
 def test_01_bell_partial_transpose(capsys):
@@ -31,7 +31,7 @@ def test_01_bell_partial_transpose(capsys):
     best = np.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        low = linalg.min_eig(linalg.partial_transpose(rho, (2, 2), 2))
+        low = linalg.min_eig(linalg.partial_transpose(rho, (2, 2)))
         best = min(best, time.perf_counter() - t0)
     ok = abs(low + 0.5) < 1e-10 and best < 1e-3
     _report(capsys, "bell-partial-transpose",
@@ -45,7 +45,7 @@ def test_02_werner_sweep(capsys):
     for a in alphas:
         rho = states.werner_state(a)
         eigs = np.sort(linalg.hermitian_eig(
-            linalg.partial_transpose(rho.mat, (2, 2), 2))[0])
+            linalg.partial_transpose(rho.mat, (2, 2)))[0])
         want = np.sort([(1 - 3 * a) / 4] + [(1 + a) / 4] * 3)
         spectra_ok &= bool(np.max(np.abs(eigs - want)) < 1e-10)
         detections.append(criteria.ppt_check(rho).detected)

@@ -171,7 +171,7 @@ def test_max_delta_is_exact_on_every_point(monkeypatch):
     have the same answer, so the 2^15 masks J containing (0,0) cover
     every pair."""
     optimize = pytest.importorskip("scipy.optimize")
-    words = states.words(2)
+    words = states.WORDS
     sig = [pauli.word_matrix(w) for w in words]
     psi = np.array([np.kron(np.eye(4), s) @ states.max_symmetric_vector(4) for s in sig])
 
@@ -230,7 +230,7 @@ def test_max_delta_is_exact_on_every_point(monkeypatch):
             assert np.allclose(lhs, rhs, atol=1e-12)
             assert np.linalg.eigvalsh(rhs)[0] > -1e-12
     # sum_w (t*b)_w S_w is the transposition after sum_v b_v S_v
-    t = maps.transposition_map(2).coeffs
+    t = maps.transposition_map()
     b = rng.random(16)
     X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     tb = [sum(t[w ^ v] * b[v] for v in range(16)) for w in range(16)]
@@ -315,6 +315,6 @@ def test_witness_path_runs_on_the_calling_thread_only():
     for _ in range(10):
         criteria.max_delta(0xF587, (3, 3))
     for _ in range(50):
-        states.sigma_diagonal_state(2, w)
+        states.sigma_diagonal_state(w)
     proc, thread = time.process_time() - proc, time.thread_time() - thread
     assert proc / thread <= 1.3

@@ -206,14 +206,21 @@ def test_certificate_rejects_items_that_are_not_special_quadruples():
     # off-lattice points are caught before any bit shift ((5, 0) would
     # alias (1, 1) and complete the special quadruple 0x0033), and the
     # four rows of the full lattice, whose uniform mixture reproduces its
-    # state, are not special
+    # state, are not special; the float point [1.0, 0.0] equals (1, 0) as
+    # a dict key, so it used to pass as special and raise a bare TypeError
     rows = [tuple((a, b) for a in range(4)) for b in range(4)]
     for mask, items in ((0xFFFF, [(((-1, 0), (0, 1), (1, 0), (1, 1)), 1)]),
                         (0x0033, [(((0, 0), (1, 0), (5, 0), (0, 1)), 1)]),
                         (0x0033, [(((0, 0), 1, 4, 5), 1)]),
+                        (0x0033, [(((0, 0), (0, 1), [1.0, 0.0], (1, 1)), 1)]),
+                        (0x0033, [(((0, 0), (0, 1), (4, 0), (1, 1)), 1)]),
+                        (0x0033, [(((0, 0), (0, 1), "ab", (1, 1)), 1)]),
                         (0xFFFF, [(r, 1) for r in rows])):
         with pytest.raises(lattice.BadCovering):
             lattice.separability_certificate(mask, lattice.Covering(items, 1))
+    # JSON-list points still verify
+    json_items = [([[0, 0], [0, 1], [1, 0], [1, 1]], 1)]
+    assert lattice.separability_certificate(0x0033, lattice.Covering(json_items, 1)).reconstruction_error < 1e-12
 
 
 def test_masks_outside_the_lattice_are_out_of_range():

@@ -36,18 +36,26 @@ def test_kraus_choi_round_trip_on_200_random_maps():
 def test_choi_of_diag_spectrum_is_the_coefficient_multiset():
     rng = np.random.default_rng(1)
     coeffs = rng.normal(size=16)
-    cm = maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
+    cm = maps.choi_of_diag(coeffs)
     assert np.allclose(np.sort(np.linalg.eigvalsh(cm.choi)), np.sort(coeffs), atol=1e-12)
+
+
+def test_diag_maps_take_16_coefficients():
+    for bad in (np.ones(4), np.ones(64), np.ones((4, 4))):
+        with pytest.raises(maps.BadParameter, match="expected 16 coefficients"):
+            maps.choi_of_diag(bad)
+        with pytest.raises(maps.BadParameter, match="expected 16 coefficients"):
+            maps.stormer_cp_part(bad, 1.0)
 
 
 def test_diag_map_applies_as_weighted_conjugations():
     rng = np.random.default_rng(2)
     coeffs = rng.normal(size=16)
-    cm = maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
+    cm = maps.choi_of_diag(coeffs)
     X = random_matrix(rng, 4)
     direct = sum(
         coeffs[states.word_flat_index(w)] * pauli.word_matrix(w) @ X @ pauli.word_matrix(w)
-        for w in states.words(2)
+        for w in states.WORDS
     )
     assert np.allclose(apply_map(cm, X), direct, atol=1e-10)
 
@@ -57,8 +65,8 @@ def test_coefficient_matrix_round_trip():
     # with the coefficients on the diagonal
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=16)
-    cm = maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
-    B = states._basis_vectors(2)  # rows are <Psi_w|
+    cm = maps.choi_of_diag(coeffs)
+    B = states._basis_vectors()  # rows are <Psi_w|
     C = B.conj() @ cm.choi @ B.T
     assert np.allclose(np.diag(C), coeffs, atol=1e-10)
     assert np.allclose(C - np.diag(np.diag(C)), 0, atol=1e-10)
@@ -66,32 +74,27 @@ def test_coefficient_matrix_round_trip():
 
 def test_trace_map_sends_everything_to_the_trace():
     rng = np.random.default_rng(4)
-    for n in (1, 2):
-        d = 2 ** n
-        cm = maps.choi_of_diag(maps.trace_map(n))
-        X = random_matrix(rng, d)
-        assert np.allclose(apply_map(cm, X), np.trace(X) * np.eye(d), atol=1e-10)
+    cm = maps.choi_of_diag(maps.trace_map())
+    X = random_matrix(rng, 4)
+    assert np.allclose(apply_map(cm, X), np.trace(X) * np.eye(4), atol=1e-10)
 
 
 def test_transposition_map_transposes():
     rng = np.random.default_rng(5)
-    for n in (1, 2):
-        d = 2 ** n
-        cm = maps.choi_of_diag(maps.transposition_map(n))
-        X = random_matrix(rng, d)
-        assert np.allclose(apply_map(cm, X), X.T, atol=1e-10)
+    cm = maps.choi_of_diag(maps.transposition_map())
+    X = random_matrix(rng, 4)
+    assert np.allclose(apply_map(cm, X), X.T, atol=1e-10)
 
 
 def test_transposition_and_reduction_are_positive_but_not_cp():
-    for n in (1, 2):
-        ok, low = maps.is_completely_positive(maps.choi_of_diag(maps.transposition_map(n)))
-        assert not ok and low < -1e-3
+    ok, low = maps.is_completely_positive(maps.choi_of_diag(maps.transposition_map()))
+    assert not ok and low < -1e-3
     for d in (2, 3, 4):
         cm = maps.reduction_map(d)
         ok, low = maps.is_completely_positive(cm)
         assert not ok
         assert abs(low - (1 - d) / d) < 1e-8
-    ok, _ = maps.is_completely_positive(maps.choi_of_diag(maps.trace_map(2)))
+    ok, _ = maps.is_completely_positive(maps.choi_of_diag(maps.trace_map()))
     assert ok
 
 
@@ -105,18 +108,17 @@ def test_reduction_map_action():
 
 def test_stormer_split_of_transposition():
     # trace - transposition/mu is completely positive from mu = 1 on
-    cp, nonneg = maps.stormer_cp_part(maps.transposition_map(2), 1.0)
+    vals, nonneg = maps.stormer_cp_part(maps.transposition_map(), 1.0)
     assert nonneg
-    vals = np.asarray(cp.coeffs)
-    hits = [w for w in states.words(2) if vals[states.word_flat_index(w)] > 1e-12]
+    hits = [w for w in states.WORDS if vals[states.word_flat_index(w)] > 1e-12]
     assert all(abs(vals[states.word_flat_index(w)] - 0.5) < 1e-12 for w in hits)
     assert len(hits) == 6 and all(list(w).count(2) == 1 for w in hits)
-    _, nonneg_small = maps.stormer_cp_part(maps.transposition_map(2), 0.5)
+    _, nonneg_small = maps.stormer_cp_part(maps.transposition_map(), 0.5)
     assert not nonneg_small
     # NaN gave an all-NaN map flagged not CP, inf the trace map flagged CP
     for mu in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(maps.NonPositiveMu):
-            maps.stormer_cp_part(maps.transposition_map(2), mu)
+            maps.stormer_cp_part(maps.transposition_map(), mu)
 
 
 def test_gamma_family_is_positive_but_not_cp_for_positive_times():
@@ -183,13 +185,13 @@ def test_phi_v_map_accepts_only_positive_maps():
 def test_extend_apply_matches_kron_of_choi_action():
     rng = np.random.default_rng(8)
     coeffs = rng.normal(size=16)
-    cm = maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
+    cm = maps.choi_of_diag(coeffs)
     A = random_matrix(rng, 4)
     B = random_matrix(rng, 4)
     R = np.kron(A, B)
     rho = states.DensityMatrix(R, (4, 4))
     LB = sum(coeffs[states.word_flat_index(w)] * pauli.word_matrix(w) @ B @ pauli.word_matrix(w)
-             for w in states.words(2))
+             for w in states.WORDS)
     assert np.allclose(maps.extend_apply(cm, rho), np.kron(A, LB), atol=1e-9)
 
 
@@ -252,7 +254,7 @@ def test_seesaw_rejects_fewer_than_one_restart():
 
 
 def test_seesaw_certificate_is_reproducible_from_the_vectors():
-    cm = maps.choi_of_diag(maps.transposition_map(2))
+    cm = maps.choi_of_diag(maps.transposition_map())
     val, psi, phi = maps.seesaw_extremum(cm, restarts=16, seed=99)
     # transposition is a positive map: block positive Choi, min exactly 0
     assert abs(val - maps.product_expectation(cm, psi, phi)) < 1e-10
@@ -264,7 +266,7 @@ def test_seesaw_finds_violations_of_non_positive_maps():
     coeffs = np.zeros(16)
     coeffs[0] = 0.1
     coeffs[5] = -1.0
-    cm = maps.choi_of_diag(maps.SigmaDiagMap(2, coeffs))
+    cm = maps.choi_of_diag(coeffs)
     val, psi, phi = maps.seesaw_extremum(cm, restarts=16, seed=7)
     assert val < -1e-9
     assert maps.product_expectation(cm, psi, phi) < -1e-6

@@ -29,7 +29,6 @@ def test_product_index_is_xor():
     for a in range(4):
         for m in range(4):
             assert pauli.pauli_product(a, m)[0] == a ^ m
-            assert pauli.PRODUCT_INDEX[a][m] == a ^ m
 
 
 def test_commute_sign_matches_matrix_commutators():
@@ -53,11 +52,6 @@ def test_word_matrix_tensor_structure():
             assert np.array_equal(pauli.word_matrix((a, b)), np.kron(SIGMAS[a], SIGMAS[b]))
 
 
-def test_word_matrix_rejects_long_words():
-    with pytest.raises(pauli.TooLarge):
-        pauli.word_matrix((1, 2, 3, 0))
-
-
 def test_words_commute_against_matrices():
     for a in range(4):
         for b in range(4):
@@ -67,11 +61,6 @@ def test_words_commute_against_matrices():
                     mb = pauli.word_matrix((c, d))
                     expected = np.allclose(ma @ mb, mb @ ma)
                     assert pauli.words_commute((a, b), (c, d)) == expected
-
-
-def test_words_commute_length_mismatch():
-    with pytest.raises(pauli.LengthMismatch):
-        pauli.words_commute((1, 2), (1, 2, 3))
 
 
 def test_tau_is_involutive_translation():
@@ -85,12 +74,16 @@ def test_tau_is_involutive_translation():
 
 
 def test_tau_rejects_points_off_the_lattice():
-    # (4, 0) used to raise a bare IndexError from the product table
-    for bad in ((4, 0), (0, 4), (-1, 0)):
-        with pytest.raises(ValueError, match="Pauli index out of range"):
-            pauli.tau(bad, (1, 1))
-        with pytest.raises(ValueError, match="Pauli index out of range"):
-            pauli.tau((1, 1), bad)
+    # (4, 0) used to raise a bare IndexError from the product table, and
+    # -1 read as sigma_z: pauli_product(-1, 1) gave (2, 1j) and
+    # words_commute((-1, 0), (1, 0)) gave False
+    for bad in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+        for call in (lambda: pauli.tau(bad, (1, 1)), lambda: pauli.tau((1, 1), bad),
+                     lambda: pauli.words_commute(bad, (1, 0)), lambda: pauli.words_commute((1, 0), bad),
+                     lambda: pauli.word_matrix(bad),
+                     lambda: pauli.pauli_product(*bad), lambda: pauli.commute_sign(*bad)):
+            with pytest.raises(ValueError, match="Pauli index out of range"):
+                call()
 
 
 def test_check_index_rejects_out_of_range():
@@ -105,10 +98,10 @@ def test_point_checks_take_integer_indices_only():
     i, j = np.int64(1), np.uint8(0)
     assert lattice.point_bit((i, j)) == 1
     assert pauli.tau((np.int8(1), j), (1, 1)) == (0, 1)
-    assert np.array_equal(pauli.word_matrix((i,)), X)
+    assert np.array_equal(pauli.word_matrix((i, j)), np.kron(X, I2))
     with pytest.raises(TypeError):
         lattice.point_bit((1.5, 0))
     with pytest.raises(TypeError):
         pauli.tau((1.9, 0), (1, 1))
     with pytest.raises(TypeError):
-        pauli.word_matrix((1.7,))
+        pauli.word_matrix((1.7, 0))

@@ -4,11 +4,11 @@ reference states, and spectral helpers."""
 import numpy as np
 import pytest
 
-from latticewitness import linalg, maps, pauli, states
+from latticewitness import linalg, maps, states
 
 
 def basis_projector(w):  # the basis element P_w
-    return states._basis_projectors(len(w))[states.word_flat_index(w)]
+    return states._basis_projectors()[states.word_flat_index(w)]
 
 
 def schmidt_coefficients(v, d1, d2):  # numpy's SVD as an independent oracle
@@ -16,7 +16,7 @@ def schmidt_coefficients(v, d1, d2):  # numpy's SVD as an independent oracle
 
 
 def test_basis_projectors_are_orthonormal_rank_one():
-    projs = [basis_projector(w) for w in states.words(2)]
+    projs = [basis_projector(w) for w in states.WORDS]
     for i, P in enumerate(projs):
         assert abs(np.trace(P) - 1) < 1e-12
         assert np.allclose(P @ P, P)
@@ -28,22 +28,22 @@ def test_sigma_diagonal_state_spectrum_is_the_weight_vector():
     rng = np.random.default_rng(0)
     w = rng.random(16)
     w /= w.sum()
-    rho = states.sigma_diagonal_state(2, w)
+    rho = states.sigma_diagonal_state(w)
     states.assert_density(rho)
     assert np.allclose(np.sort(np.linalg.eigvalsh(rho.mat)), np.sort(w), atol=1e-12)
 
 
 def test_sigma_diagonal_state_rejects_bad_weights():
     with pytest.raises(states.BadWeights):
-        states.sigma_diagonal_state(2, np.full(16, 0.1))
+        states.sigma_diagonal_state(np.full(16, 0.1))
     with pytest.raises(states.BadWeights):
         w = np.zeros(16)
         w[0], w[1] = 1.5, -0.5
-        states.sigma_diagonal_state(2, w)
+        states.sigma_diagonal_state(w)
     # NaN fails both a sign and a sum comparison, so it once passed
     for bad in ([0.25, np.nan, 0.25, 0.25], [0.25, np.inf, 0.25, 0.25], [0.5, np.inf, -np.inf, 0.5]):
         with pytest.raises(states.BadWeights):
-            states.sigma_diagonal_state(1, bad)
+            states.sigma_diagonal_state(bad + [0.0] * 12)
 
 
 def test_lattice_state_is_uniform_on_its_support():
@@ -80,26 +80,16 @@ def test_projector_sum_matches_the_tensordot_reference():
     # every sigma-diagonal builder sums sum_w c_w P_w without BLAS; the
     # reference is the BLAS contraction it replaced
     rng = np.random.default_rng(7)
-    for n in (1, 2):
-        for _ in range(20):
-            c = rng.normal(size=4**n)
-            ref = np.tensordot(c, states._basis_projectors(n), axes=1)
-            got = maps.choi_of_diag(maps.SigmaDiagMap(n, c)).choi
-            assert np.max(np.abs(got - ref)) <= 1e-15
+    for _ in range(20):
+        c = rng.normal(size=16)
+        ref = np.tensordot(c, states._basis_projectors(), axes=1)
+        got = maps.choi_of_diag(c).choi
+        assert np.max(np.abs(got - ref)) <= 1e-15
     for _ in range(20):
         w = rng.random(16)
         w /= w.sum()
-        ref = np.tensordot(w, states._basis_projectors(2), axes=1)
-        assert np.max(np.abs(states.sigma_diagonal_state(2, w).mat - ref)) <= 1e-15
-
-
-def test_basis_projectors_refuse_three_qubits_before_allocating():
-    with pytest.raises(pauli.TooLarge):
-        basis_projector((0, 0, 0))
-    with pytest.raises(pauli.TooLarge):
-        states.sigma_diagonal_state(3, np.full(64, 1 / 64))
-    with pytest.raises(pauli.TooLarge):
-        maps.choi_of_diag(maps.trace_map(3))
+        ref = np.tensordot(w, states._basis_projectors(), axes=1)
+        assert np.max(np.abs(states.sigma_diagonal_state(w).mat - ref)) <= 1e-15
 
 
 def test_mask_points_round_trip():
@@ -125,7 +115,7 @@ def test_bell_states_are_orthonormal_and_maximally_entangled():
 def test_werner_partial_transpose_spectrum():
     for alpha in (-1 / 3, 0.0, 0.2, 1 / 3, 0.6, 1.0):
         rho = states.werner_state(alpha)
-        pt = linalg.partial_transpose(rho.mat, (2, 2), 2)
+        pt = linalg.partial_transpose(rho.mat, (2, 2))
         vals = np.sort(np.linalg.eigvalsh(pt))
         expected = np.sort([(1 + alpha) / 4] * 3 + [(1 - 3 * alpha) / 4])
         assert np.allclose(vals, expected, atol=1e-12)
@@ -166,7 +156,7 @@ def test_upb_complement_state_is_ppt_and_orthogonal_to_the_family():
     states.assert_density(rho)
     for v in vecs:
         assert abs(np.vdot(v, rho.mat @ v)) < 1e-12
-    pt = linalg.partial_transpose(rho.mat, (3, 3), 2)
+    pt = linalg.partial_transpose(rho.mat, (3, 3))
     assert np.linalg.eigvalsh(pt)[0] > -1e-10
 
 
@@ -197,11 +187,11 @@ def test_horodecki_families_are_ppt_densities():
     for a in (0.1, 0.5, 0.9):
         rho = states.horodecki_3x3(a)
         states.assert_density(rho)
-        assert np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (3, 3), 2))[0] > -1e-10
+        assert np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (3, 3)))[0] > -1e-10
     for b in (0.1, 0.5, 0.9):
         rho = states.horodecki_2x4(b)
         states.assert_density(rho)
-        assert np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (2, 4), 2))[0] > -1e-10
+        assert np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (2, 4)))[0] > -1e-10
 
 
 def test_max_symmetric_vector_projector_matches_word_zero():

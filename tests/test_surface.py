@@ -4,9 +4,13 @@ thesis through it, or the benchmark names it.  A public name that neither
 holds nor appears in KEEP is library surface nothing needs."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "latticewitness"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "latticewitness"
+# a KEEP reason that cites one of these files holds only while the file names the function
+BENCHMARK_FILES = ("perfbench/tracer.py", "BENCHMARK.json")
 
 KEEP = {
     "criteria.diagonal_lattice_witness": "the thesis's lattice witness; Tr(W rho_I) = -delta/(4N) is tested",
@@ -22,7 +26,6 @@ KEEP = {
     "maps.product_expectation": "re-checks a see-saw value from its product vectors",
     "maps.reduction_map": "thesis claim: the reduction map is positive but not CP",
     "maps.stormer_cp_part": "thesis claim: the Stormer split of the transposition",
-    "pauli.commute_sign": "counted by name in perfbench/tracer.py",
     "pauli.pauli_product": "counted by name in perfbench/tracer.py",
     "pauli.tau": "the lattice translation; named in BENCHMARK.json",
     "states.assert_density": "checks that each named state is a density matrix",
@@ -63,3 +66,11 @@ def test_every_public_name_has_a_caller_or_a_reason_to_stay():
     assert not extra, f"public names with no caller in src/ and no entry in KEEP: {extra}"
     stale = sorted(set(KEEP) - set(unreferenced))
     assert not stale, f"KEEP entries that are gone or now have a caller in src/: {stale}"
+
+
+def test_keep_reasons_that_cite_the_benchmark_hold():
+    # the name must appear quoted, alone or as the prefix of a metric name
+    texts = {f: (ROOT / f).read_text() for f in BENCHMARK_FILES}
+    missing = sorted(f"{name} ({f})" for name, reason in KEEP.items() for f in BENCHMARK_FILES
+                     if f in reason and not re.search(f'"{re.escape(name)}[".]', texts[f]))
+    assert not missing, f"KEEP entries whose reason cites a benchmark file that does not name them: {missing}"
