@@ -68,21 +68,25 @@ def _parse_mask(text: str) -> int:
     return mask
 
 
+# The sorted points of each special quadruple mask, as reports show a quadruple.
+_QUAD_POINTS = {q: sorted(states.mask_points(q)) for q in lattice.QUAD_MASKS}
+
+
 def _covering_json(cov):
     if cov is None:
         return None
     return {
         "multiplicity": cov.multiplicity,
-        "quadruples": [{"points": [list(p) for p in q], "weight": w} for q, w in cov.items],
+        "quadruples": [{"points": [list(p) for p in _QUAD_POINTS[q]], "weight": w} for q, w in cov.items],
     }
 
 
 # JSON text of each point (k_pair values are points too), and the JSON
-# of each covering item (quadruple, weight), every quote doubled as in a
-# quoted CSV cell; a weight is at most the multiplicity.
-_POINT_JSON = {p: json.dumps(list(p)) for p in lattice.ALL_POINTS}
-_ITEM_CSV = {(q, w): '{""points"": %s, ""weight"": %d}' % (json.dumps([list(p) for p in q]), w)
-             for q in lattice.ALL_QUADRUPLES for w in range(1, lattice.MAX_MULTIPLICITY + 1)}
+# of each covering item (quadruple mask, weight), every quote doubled as
+# in a quoted CSV cell; a weight is at most the multiplicity.
+_POINT_JSON = {p: json.dumps(list(p)) for p in states.ALL_POINTS}
+_ITEM_CSV = {(q, w): '{""points"": %s, ""weight"": %d}' % (json.dumps([list(p) for p in pts]), w)
+             for q, pts in _QUAD_POINTS.items() for w in range(1, lattice.MAX_MULTIPLICITY + 1)}
 # The NptEntangled row after its pattern, per (min_pt_eig, cross_check_ok).
 _NPT_TAIL = {}
 
@@ -186,7 +190,7 @@ def cmd_classify(args) -> int:
         print(f"uniform covering: {len(cov.items)} distinct quadruples, "
               f"N_Q = {cov.total_weight}, multiplicity M = {cov.multiplicity}")
         for q, w in cov.items:
-            print(f"  weight {w}: {list(q)}")
+            print(f"  weight {w}: {_QUAD_POINTS[q]}")
     if cls.witness_delta is not None:
         print(f"witness delta (exact): {cls.witness_delta:.6g}")
         print(f"witness value on the state: {-cls.witness_delta / (4 * rec['n_points']):.12g}")

@@ -100,7 +100,7 @@ def diagonal_lattice_witness(I: int, p, delta: float) -> Witness:
     if not abs(delta) < np.inf:  # NaN fails this too
         raise maps.BadParameter(f"delta must be finite, got {delta}")
     coeffs = 0.25 * (1.0 - states.lattice_indicator(I))
-    coeffs -= delta / 4.0 * states.lattice_indicator(states.points_mask([p]))
+    coeffs[states.point_bit(p)] -= delta / 4.0
     choi = maps.choi_of_diag(coeffs)
     return Witness(choi.choi, (4, 4))
 
@@ -108,7 +108,8 @@ def diagonal_lattice_witness(I: int, p, delta: float) -> Witness:
 def _delta_choi(I: int, p, delta: float) -> maps.ChoiMap:
     # Choi whose product expectation equals the block-positivity margin:
     # coefficient 1 on I plus an extra delta at p.
-    coeffs = states.lattice_indicator(I) + delta * states.lattice_indicator(states.points_mask([p]))
+    coeffs = states.lattice_indicator(I)
+    coeffs[states.point_bit(p)] += delta
     return maps.choi_of_diag(coeffs)
 
 

@@ -4,10 +4,10 @@ entanglement criteria, special quadruples and the exact witness
 strength, uniform coverings, and the end-to-end classifier.
 
 A subset I of the lattice is a 16-bit mask with bit 4*beta + alpha set
-for point (alpha, beta).  Inside this module subsets, quadruples and
-points are masks and bit indices; point tuples appear only where the
-public API takes or returns them, converted by `point_bit` (point to
-bit) and `ALL_POINTS[b]` (bit to point).  The criteria are exact
+for point (alpha, beta); a special quadruple is the mask of its four
+points, one of the shared ints of `QUAD_MASKS`.  Point tuples appear
+only where the public API takes or returns points, converted by
+`point_bit` and `ALL_POINTS` of `states`.  The criteria are exact
 integer combinatorics, written once in `_criteria` for an array of
 masks; the functions for one mask read its row.  The minimum
 partial-transpose eigenvalue of an NPT subset is the closed form
@@ -31,7 +31,7 @@ from operator import index
 import numpy as np
 
 from . import criteria, linalg, pauli, states
-from .states import EmptySubset, check_mask  # EmptySubset is re-exported
+from .states import ALL_POINTS, EmptySubset, check_mask, point_bit  # EmptySubset is re-exported
 
 
 class BadCovering(ValueError):
@@ -40,14 +40,6 @@ class BadCovering(ValueError):
 
 class NotPpt(ValueError):
     pass
-
-
-ALL_POINTS = [(a, b) for b in range(4) for a in range(4)]
-
-
-def point_bit(p) -> int:  # a point off the lattice raises ValueError
-    a, b = pauli.check_point(p)
-    return 4 * b + a
 
 
 def _check_bits(mask: int) -> int:  # the mask as a Python int; 0 is allowed
@@ -87,22 +79,22 @@ def translate_mask(t, mask: int) -> int:
     return mask
 
 
-def _build_all_quadruples():
-    """The 60 special quadruples as sorted point tuples, in sorted order.
-    Where a and b commute, so do all pairs of {0, a, b, a^b}."""
+def _build_quad_masks():
+    """The 60 special quadruples as masks, ordered by their sorted point
+    lists.  Where a and b commute, so do all pairs of {0, a, b, a^b}."""
     planes = {1 | 1 << a | 1 << b | 1 << (a ^ b) for a in range(1, 16) for b in range(a + 1, 16)
               if pauli.words_commute(ALL_POINTS[a], ALL_POINTS[b])}
     masks = {img for q in planes for img in _translates(q)}
-    return sorted(tuple(sorted(states.mask_points(m))) for m in masks)
+    return sorted(masks, key=lambda q: sorted(states.mask_points(q)))
 
 
-ALL_QUADRUPLES = _build_all_quadruples()
-QUAD_MASKS = [states.points_mask(q) for q in ALL_QUADRUPLES]
-_QUADRUPLE = dict(zip(QUAD_MASKS, ALL_QUADRUPLES))  # mask -> point tuple
-_QUAD_INDEX = {q: i for i, q in enumerate(ALL_QUADRUPLES)}  # point tuple -> index
+QUAD_MASKS = _build_quad_masks()
 _QUAD_BITS = {q: [b for b in range(16) if q >> b & 1] for q in QUAD_MASKS}  # mask -> its 4 bit indices
-# _QUAD_TRANSLATE[i][s]: the index of the translate of quadruple i by ALL_POINTS[s]
-_QUAD_TRANSLATE = [[QUAD_MASKS.index(img) for img in _translates(q)] for q in QUAD_MASKS]
+# _QUAD_TRANSLATE[q][s]: the translate of quadruple q by ALL_POINTS[s], as
+# the int of QUAD_MASKS, so that coverings and certificates share them;
+# [0] is q itself
+_QUAD_TRANSLATE = {q: q for q in QUAD_MASKS}
+_QUAD_TRANSLATE = {q: [_QUAD_TRANSLATE[img] for img in _translates(q)] for q in QUAD_MASKS}
 _QUADS_THROUGH = [[q for q in QUAD_MASKS if q >> b & 1] for b in range(16)]  # per bit, the 15 quadruples through it
 
 
@@ -127,7 +119,7 @@ def _delta_at(I: int, b: int) -> float:  # exact_delta at bit b of I, unchecked
 
 def is_special(points) -> bool:
     """True iff the points form one of the 60 special quadruples."""
-    return states.points_mask(points) in _QUADRUPLE
+    return states.points_mask(points) in _QUAD_TRANSLATE
 
 
 # Per bit b = 4*beta + alpha, as uint16 columns: the bit itself, its
@@ -212,7 +204,7 @@ class Covering:
     """Weighted collection of special quadruples inside a subset with
     every subset point covered the same number of times."""
 
-    items: list  # of (quadruple point tuple, weight)
+    items: list  # of (quadruple mask, weight)
     multiplicity: int
 
     @property
@@ -301,7 +293,7 @@ def uniform_covering(I: int):
             continue
         weights = _multicover(quads, I, M)
         if weights is not None:
-            return Covering([(_QUADRUPLE[q], w) for q, w in zip(quads, weights) if w > 0], M)
+            return Covering([(q, w) for q, w in zip(quads, weights) if w > 0], M)
     return None
 
 
@@ -309,33 +301,31 @@ def uniform_covering(I: int):
 class CertificateRecord:
     """Numeric verification of a covering-based separability certificate."""
 
-    weights: list  # of (quadruple, convex weight)
+    weights: list  # of (quadruple mask, convex weight)
     reconstruction_error: float
     all_quadruple_states_ppt: bool
 
 
 def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     """Check that the covering's convex mixture of quadruple states
-    reproduces the lattice state of I.  Every item must be a special
-    quadruple (points as tuples, or lists as in a JSON report) of
-    `ALL_QUADRUPLES` with a positive integer weight."""
+    reproduces the lattice state of I.  Every item must be the mask of a
+    special quadruple (an integer of `QUAD_MASKS`; a report's point list
+    converts with `states.points_mask`) with a positive integer weight."""
     I = check_mask(I)
     counts = [0] * 16
     items = []
     for q, w in covering.items:
         try:
-            q = tuple(pauli.check_point(p) for p in q)
-        except (TypeError, ValueError):
-            raise BadCovering(f"{q!r} has a point that is not a lattice point") from None
-        if q not in _QUAD_INDEX:
-            raise BadCovering(f"{q} is not a special quadruple")
-        if QUAD_MASKS[_QUAD_INDEX[q]] & ~I:
+            q = _QUAD_TRANSLATE[index(q)][0]  # shared: a record holds no copied masks
+        except (TypeError, KeyError):
+            raise BadCovering(f"{q!r} is not the mask of a special quadruple") from None
+        if q & ~I:
             raise BadCovering("covering quadruple leaves the subset")
         if not isinstance(w, int) or w < 1:
             raise BadCovering(f"weight {w!r} is not a positive integer")
-        for a, b in q:
-            counts[4 * b + a] += w
-        items.append((ALL_QUADRUPLES[_QUAD_INDEX[q]], w))  # shared: a record holds no copied points
+        for b in _QUAD_BITS[q]:
+            counts[b] += w
+        items.append((q, w))
     M = covering.multiplicity  # uniform on I implies 4 N_Q = M N_I, as 4 points per quadruple
     if any((counts[b] != 0) != bool(I >> b & 1) or (I >> b & 1 and counts[b] != M) for b in range(16)):
         raise BadCovering("covering is not uniform on the subset")
@@ -343,7 +333,7 @@ def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     mix = np.zeros((16, 16), dtype=complex)
     all_ppt = True
     for q, w in items:
-        rho_q = states.lattice_state(QUAD_MASKS[_QUAD_INDEX[q]])
+        rho_q = states.lattice_state(q)
         mix += (w / total) * rho_q.mat
         if criteria.ppt_check(rho_q).detected:
             all_ppt = False
@@ -399,20 +389,18 @@ def _ppt_classification(I: int, sp, op, kc, canon: int, s: int, memo: dict) -> C
     """The classification of the PPT mask I, as `classify` defines it,
     from its special point, one-point point and k pair (each None when
     absent) and its least translate canon, the translate by ALL_POINTS[s].
-    `memo` maps canon to None or to (multiplicity, [(quadruple index, weight)])."""
+    `memo` maps canon to its `uniform_covering`."""
     fired = [name for name, hit in (("special_subset", sp), ("one_point", op), ("k_criterion", kc)) if hit is not None]
     if fired:
         delta = None if sp is None else _delta_at(I, point_bit(sp))
         return Classification("PptEntangled", fired, sp, op, kc, witness_delta=delta)
     if canon not in memo:
-        cov = uniform_covering(canon)
-        memo[canon] = None if cov is None else (cov.multiplicity, [(_QUAD_INDEX[q], w) for q, w in cov.items])
-    if memo[canon] is None:
+        memo[canon] = uniform_covering(canon)
+    if (cov := memo[canon]) is None:
         return Classification("Unknown", [])
-    M, items = memo[canon]
     # tau_s maps I onto canon and is involutive, so it maps back
-    moved = [(ALL_QUADRUPLES[_QUAD_TRANSLATE[i][s]], w) for i, w in items]
-    return Classification("Separable", [], covering=Covering(moved, M))
+    moved = [(_QUAD_TRANSLATE[q][s], w) for q, w in cov.items]
+    return Classification("Separable", [], covering=Covering(moved, cov.multiplicity))
 
 
 def canonical_mask(I: int):

@@ -3,8 +3,8 @@
 
 Matrices are plain numpy complex arrays.  The Hermitian eigensolver is
 a self-contained cyclic Jacobi iteration, vectorized over disjoint
-rotation pairs; singular values are obtained from the eigenvalues of
-M^dag M.  Bipartite index convention is fixed once: composite index
+rotation pairs; the trace norm is numpy.linalg's nuclear norm.
+Bipartite index convention is fixed once: composite index
 i = i1*d2 + i2.
 """
 
@@ -135,17 +135,8 @@ def hermitian_eig(M: np.ndarray, tol: float = 1e-10):
     return w[order].copy(), V[:, order].copy()
 
 
-def singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values (descending) via the eigenvalues of M^dag M."""
-    M = np.asarray(M, dtype=complex)
-    H = M.conj().T @ M
-    w, _ = hermitian_eig(H, tol=1e-8 * max(1.0, float(np.linalg.norm(H))))
-    w = np.where(np.abs(w) < 1e-14, 0.0, w)
-    return np.sqrt(np.maximum(w, 0.0))
-
-
 def trace_norm(M: np.ndarray) -> float:
-    return float(np.sum(singular_values(M)))
+    return float(np.linalg.norm(M, "nuc"))
 
 
 def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -7,10 +7,10 @@ so entry C[(i,j),(p,q)] = (1/n) <j| L[|i><p|] |q> and the Choi matrix
 of the identity map is P+ itself (trace 1).
 
 Each party holds two qubits, so a sigma-diagonal map L = sum_w lambda_w S_w
-(S_w[X] = sigma_w X sigma_w) on M_4 is a plain vector of 16 coefficients in
-flat word order; its Choi matrix sum_w lambda_w P_w (summed by
-`states._projector_sum`, like every sigma-diagonal matrix) has exactly the
-coefficients as eigenvalues.
+(S_w[X] = sigma_w X sigma_w) on M_4 is a plain vector of 16 coefficients,
+word (alpha, beta) at the bit 4*beta + alpha of its lattice point; its Choi
+matrix sum_w lambda_w P_w (summed by `states._projector_sum`, like every
+sigma-diagonal matrix) has exactly the coefficients as eigenvalues.
 """
 
 from __future__ import annotations
@@ -215,8 +215,8 @@ def gamma_map(t: float) -> np.ndarray:
     coeffs = np.zeros(16)
     coeffs[0] = a * cpl  # word (0,0)
     for i in range(1, 4):
-        coeffs[i] = eps[i] * a * b  # words (0,i)
-        coeffs[4 * i] = b * cpl  # words (i,0)
+        coeffs[4 * i] = eps[i] * a * b  # words (0,i)
+        coeffs[i] = b * cpl  # words (i,0)
     return coeffs
 
 
@@ -239,7 +239,7 @@ def phi_v_map(v_col, v_row) -> ChoiMap:
     for a in (0, 1, 3):
         V += v_col[a] * pauli.word_matrix((a, 2))
         V += v_row[a] * pauli.word_matrix((2, a))
-    if linalg.singular_values(V)[0] > 1 + 1e-10:
+    if np.linalg.norm(V, 2) > 1 + 1e-10:
         raise BadParameter("V must have operator norm at most 1")
     tr = choi_of_diag(trace_map()).choi
     tp = choi_of_diag(transposition_map()).choi

@@ -7,10 +7,9 @@ Conventions fixed here:
     associated projector P+ = (1/d) sum_ij |i><j| x |i><j| is idempotent
     with unit trace;
   * each party holds two qubits: a Pauli word is a lattice point
-    (alpha, beta) and has flat index 4*alpha + beta, so a sigma-diagonal
-    matrix is given by 16 coefficients in that order;
-  * a lattice point (alpha, beta) occupies bit 4*beta + alpha of a
-    16-bit subset mask.
+    (alpha, beta), and point (alpha, beta) is bit 4*beta + alpha, both of
+    a 16-bit subset mask and of the 16 coefficients of a sigma-diagonal
+    matrix (`ALL_POINTS` order).
 """
 
 from __future__ import annotations
@@ -69,18 +68,18 @@ def max_symmetric_vector(d: int) -> np.ndarray:
     return v
 
 
-WORDS = tuple((a, b) for a in range(4) for b in range(4))  # the 16 words in flat-index order
+ALL_POINTS = [(b & 3, b >> 2) for b in range(16)]  # the point at each bit
 
 
-def word_flat_index(w) -> int:
-    a, b = pauli.check_point(w)
-    return 4 * a + b
+def point_bit(p) -> int:  # a point off the lattice raises ValueError
+    a, b = pauli.check_point(p)
+    return 4 * b + a
 
 
 def _basis_vectors() -> np.ndarray:
-    """Rows (1 x sigma_w)|max symmetric> for the 16 words in flat-index order."""
+    """Rows (1 x sigma_w)|max symmetric> for the 16 words in bit order."""
     plus = max_symmetric_vector(4)
-    return np.array([linalg.tensor(np.eye(4), pauli.word_matrix(w)) @ plus for w in WORDS])
+    return np.array([linalg.tensor(np.eye(4), pauli.word_matrix(w)) @ plus for w in ALL_POINTS])
 
 
 @lru_cache(maxsize=None)  # built on first use, then shared by every caller
@@ -108,14 +107,14 @@ def sigma_diagonal_state(weights) -> DensityMatrix:
 
 
 def mask_points(mask: int) -> list:
-    """Lattice points of a 16-bit subset mask (bit 4*beta + alpha)."""
-    return [(b % 4, b // 4) for b in range(16) if mask >> b & 1]
+    """Lattice points of a 16-bit subset mask, in bit order."""
+    return [ALL_POINTS[b] for b in range(16) if mask >> b & 1]
 
 
 def points_mask(points) -> int:
     mask = 0
-    for alpha, beta in points:
-        mask |= 1 << (4 * pauli.check_index(beta) + pauli.check_index(alpha))
+    for p in points:
+        mask |= 1 << point_bit(p)
     return mask
 
 
@@ -131,9 +130,8 @@ def check_mask(mask: int) -> int:
 
 
 def lattice_indicator(mask: int) -> np.ndarray:
-    """0/1 vector over the 16 two-qubit words in flat-index order: entry
-    4*alpha + beta is 1 iff point (alpha, beta) lies in the mask."""
-    return np.array([mask >> (4 * (w % 4) + w // 4) & 1 for w in range(16)], dtype=float)
+    """0/1 vector over the 16 words: entry b is bit b of the mask."""
+    return np.array([mask >> b & 1 for b in range(16)], dtype=float)
 
 
 def lattice_state(mask: int) -> DensityMatrix:

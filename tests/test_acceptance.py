@@ -136,12 +136,12 @@ def test_07_exhaustive_oracle_equivalence(capsys):
 
 
 def test_08_quadruple_census(capsys):
-    quads = lattice.ALL_QUADRUPLES
-    per_point = [sum(p in q for q in quads) for p in lattice.ALL_POINTS]
+    quads = [tuple(sorted(states.mask_points(q))) for q in lattice.QUAD_MASKS]
+    per_point = [sum(p in q for q in quads) for p in states.ALL_POINTS]
     # independent reconstruction of the origin quadruples: {(0,0), w1, w2,
     # w1*w2} with w1, w2 distinct commuting nonzero words
     expect_q00 = set()
-    nonzero = [p for p in lattice.ALL_POINTS if p != (0, 0)]
+    nonzero = [p for p in states.ALL_POINTS if p != (0, 0)]
     for i, w1 in enumerate(nonzero):
         for w2 in nonzero[i + 1:]:
             if not pauli.words_commute(w1, w2):

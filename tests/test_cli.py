@@ -25,7 +25,7 @@ def test_parse_pattern_accepts_token_variants():
     text = "x X . .\n× . . .\n. . . .\n. . . x"
     mask = cli.parse_pattern(text)
     assert lattice.popcount(mask) == 4
-    assert mask >> cli.lattice.point_bit((0, 3)) & 1  # top-left is beta=3
+    assert mask >> states.point_bit((0, 3)) & 1  # top-left is beta=3
 
 
 def test_parse_pattern_errors():
@@ -71,11 +71,13 @@ def test_classify_json_schema(capsys):
 
 
 def test_classify_json_certificate_verifies(capsys):
-    # the report gives points as lists; the certificate must re-check as read
+    # the report gives each quadruple as a list of points; their mask
+    # must re-check as read
     mask = cli.example_mask("cover-10")
     assert cli.main(["classify", "--mask", f"{mask:#06x}", "--json"]) == 0
     cert = json.loads(capsys.readouterr().out)["certificate"]
-    cov = lattice.Covering([(q["points"], q["weight"]) for q in cert["quadruples"]], cert["multiplicity"])
+    cov = lattice.Covering([(states.points_mask(q["points"]), q["weight"]) for q in cert["quadruples"]],
+                           cert["multiplicity"])
     rec = lattice.separability_certificate(mask, cov)
     assert rec.reconstruction_error < 1e-12 and rec.all_quadruple_states_ppt
     assert rec.weights == [(q, w / 5) for q, w in lattice.classify(mask).covering.items]
@@ -100,6 +102,71 @@ def test_classify_human_output(capsys):
     assert "classification: Separable" in out
     assert "uniform covering" in out
     assert out.startswith(f"mask: {mask:#06x}   n_points: 10\n")
+
+
+# `lw classify --mask` text output, byte for byte: one mask of each tag
+# that occurs, the PptEntangled one with every criterion line; cover-10
+# (0xeee1); and a translated covering (0xff30 is 0x03ff moved by (0, 3))
+# with a weight-2 item
+CLASSIFY_TEXT = {
+    0x000F: """\
+mask: 0x000f   n_points: 4
+. . . .
+. . . .
+. . . .
+x x x x
+classification: NptEntangled
+criteria fired: npt
+min PT eigenvalue: -0.125
+""",
+    0xC9A0: """\
+mask: 0xc9a0   n_points: 6
+. . x x
+x . . x
+. x . x
+. . . .
+classification: PptEntangled
+criteria fired: special_subset, one_point, k_criterion
+special-subset point: (1, 1)
+one-point criterion at: (0, 0)
+k criterion at (mu, nu): (0, 1)
+witness delta (exact): 1
+witness value on the state: -0.0416666666667
+""",
+    0xEEE1: """\
+mask: 0xeee1   n_points: 10
+. x x x
+. x x x
+. x x x
+x . . .
+classification: Separable
+uniform covering: 5 distinct quadruples, N_Q = 5, multiplicity M = 2
+  weight 1: [(0, 0), (1, 3), (2, 2), (3, 1)]
+  weight 1: [(0, 0), (1, 1), (2, 3), (3, 2)]
+  weight 1: [(1, 2), (1, 3), (3, 2), (3, 3)]
+  weight 1: [(1, 1), (1, 2), (2, 1), (2, 2)]
+  weight 1: [(2, 1), (2, 3), (3, 1), (3, 3)]
+""",
+    0xFF30: """\
+mask: 0xff30   n_points: 10
+x x x x
+x x x x
+x x . .
+. . . .
+classification: Separable
+uniform covering: 4 distinct quadruples, N_Q = 5, multiplicity M = 2
+  weight 1: [(0, 2), (0, 3), (1, 2), (1, 3)]
+  weight 1: [(0, 1), (0, 3), (1, 1), (1, 3)]
+  weight 1: [(0, 1), (0, 2), (1, 1), (1, 2)]
+  weight 2: [(2, 2), (2, 3), (3, 2), (3, 3)]
+""",
+}
+
+
+@pytest.mark.parametrize("mask", sorted(CLASSIFY_TEXT))
+def test_classify_text_output_is_pinned(mask, capsys):
+    assert cli.main(["classify", "--mask", f"{mask:#06x}"]) == 0
+    assert capsys.readouterr().out == CLASSIFY_TEXT[mask]
 
 
 def test_classify_witness_flag(capsys, monkeypatch):
@@ -248,12 +315,15 @@ def test_text_tables_hold_the_json_of_their_values():
     for p, text in cli._POINT_JSON.items():
         assert text == json.dumps(list(p))
     # covering items: the JSON with every quote doubled, as csv.writer
-    # writes it inside the quoted certificate cell
-    # (quadruple, weight) for every weight up to the largest multiplicity
-    assert set(cli._ITEM_CSV) == set(itertools.product(lattice.ALL_QUADRUPLES,
+    # writes it inside the quoted certificate cell, the quadruple's points
+    # sorted; (quadruple mask, weight) for every weight up to the largest
+    # multiplicity
+    assert set(cli._ITEM_CSV) == set(itertools.product(lattice.QUAD_MASKS,
                                                         range(1, lattice.MAX_MULTIPLICITY + 1)))
     for (q, w), text in cli._ITEM_CSV.items():
-        item = json.dumps({"points": [list(p) for p in q], "weight": w})
+        points = [list(p) for p in sorted(states.mask_points(q))]
+        assert len(points) == 4 and states.points_mask(points) == q
+        item = json.dumps({"points": points, "weight": w})
         assert text.replace('""', '"') == item
         buf = io.StringIO()
         csv.writer(buf).writerow([item])

@@ -83,8 +83,8 @@ def test_werner_sweep_detection_boundary():
 def test_realignment_on_lattice_states():
     # separable rank-4 quadruple states sit exactly at the threshold;
     # some PPT lattice states land strictly above it (e.g. 0x036a)
-    for q in lattice.ALL_QUADRUPLES[:8]:
-        v = criteria.realignment_check(states.lattice_state(states.points_mask(q)))
+    for q in lattice.QUAD_MASKS[:8]:
+        v = criteria.realignment_check(states.lattice_state(q))
         assert not v.detected and abs(v.evidence - 1.0) < 1e-8
     v = criteria.realignment_check(states.lattice_state(0x036A))
     assert v.detected and abs(v.evidence - 1.5) < 1e-8
@@ -136,9 +136,8 @@ def test_diagonal_lattice_witness_vanishes_with_delta():
 
 
 def test_max_delta_zero_when_point_sits_in_a_contained_quadruple():
-    q = lattice.ALL_QUADRUPLES[0]
-    mask = states.points_mask(q)
-    assert criteria.max_delta(mask, q[0]) == 0.0
+    mask = lattice.QUAD_MASKS[0]
+    assert criteria.max_delta(mask, states.mask_points(mask)[0]) == 0.0
     assert criteria.max_delta(0xFFFF, (2, 1)) == 0.0
 
 
@@ -171,7 +170,7 @@ def test_max_delta_is_exact_on_every_point(monkeypatch):
     have the same answer, so the 2^15 masks J containing (0,0) cover
     every pair."""
     optimize = pytest.importorskip("scipy.optimize")
-    words = states.WORDS
+    words = states.ALL_POINTS
     sig = [pauli.word_matrix(w) for w in words]
     psi = np.array([np.kron(np.eye(4), s) @ states.max_symmetric_vector(4) for s in sig])
 
@@ -188,20 +187,18 @@ def test_max_delta_is_exact_on_every_point(monkeypatch):
     # eigenvectors a of L's stabilizer give v = conj(a) x sigma_t a with
     # |<v|Psi_w>|^2 = 1/4 on Q and 0 off Q, so the delta quantity at v is
     # (|Q & I| + delta)/4 when p is in Q: above 1 for delta > 4 - |Q & I|
-    supports = []
-    for q in lattice.ALL_QUADRUPLES:
+    for qmask in lattice.QUAD_MASKS:
+        q = states.mask_points(qmask)
         t = q[0]
         gens = [pauli.tau(t, w) for w in q[1:3]]
         _, A = np.linalg.eigh(pauli.word_matrix(gens[0]) + 2 * pauli.word_matrix(gens[1]))
-        qmask = states.points_mask(q)
         choi = criteria._delta_choi(qmask, t, 0.5)
         for a in A.T:
             b = pauli.word_matrix(t) @ a
             overlaps = np.abs(psi.conj() @ np.kron(a.conj(), b)) ** 2
             assert np.allclose(overlaps, 0.25 * states.lattice_indicator(qmask), atol=1e-12)
             assert abs(maps.product_expectation(choi, a.conj(), b) - 4.5 / 4) < 1e-12
-        supports.append(qmask)
-    through_origin = [s for s in supports if s & 1]
+    through_origin = [s for s in lattice.QUAD_MASKS if s & 1]
     assert len(through_origin) == 15
 
     masks = [J for J in range(1 << 16) if J & 1]

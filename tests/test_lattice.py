@@ -8,18 +8,20 @@ import pytest
 
 from latticewitness import cli, criteria, lattice, linalg, pauli, states
 
-Q00 = [q for q in lattice.ALL_QUADRUPLES if q[0] == (0, 0)]  # the 15 through the origin, sorted
+QUADS = [tuple(sorted(states.mask_points(q))) for q in lattice.QUAD_MASKS]  # as sorted point tuples
+Q00 = [q for q in QUADS if q[0] == (0, 0)]  # the 15 through the origin, sorted
 
 
 def test_quadruple_census():
-    quads = lattice.ALL_QUADRUPLES
+    quads = QUADS
     assert len(quads) == 60
     assert len(set(quads)) == 60
+    assert all(type(q) is int and q.bit_count() == 4 for q in lattice.QUAD_MASKS)
     for q in quads:
         assert len(q) == 4
         assert lattice.is_special(q)
     # each lattice point lies in exactly 15 quadruples
-    for p in lattice.ALL_POINTS:
+    for p in states.ALL_POINTS:
         assert sum(p in q for q in quads) == 15
     assert len(Q00) == 15
 
@@ -42,7 +44,7 @@ def test_quadruples_are_the_translates_of_the_commuting_planes():
     assert len(commuting) == 15
     translates = {tuple(sorted(points[product(t, b)] for b in q)) for q in commuting for t in range(16)}
     assert len(translates) == 60
-    assert lattice.ALL_QUADRUPLES == sorted(translates)
+    assert QUADS == sorted(translates)  # QUAD_MASKS is in the order of its point lists
     assert Q00 == sorted(tuple(sorted(points[b] for b in q)) for q in commuting)
 
 
@@ -57,7 +59,7 @@ def test_q00_quadruples_pairwise_commute():
 def test_nonzero_word_commutant_structure():
     # every nonzero two-qudit word commutes with exactly 6 other nonzero
     # words and lies in exactly 3 origin quadruples
-    nonzero = [p for p in lattice.ALL_POINTS if p != (0, 0)]
+    nonzero = [p for p in states.ALL_POINTS if p != (0, 0)]
     for w in nonzero:
         others = [v for v in nonzero if v != w and pauli.words_commute(w, v)]
         assert len(others) == 6
@@ -65,8 +67,7 @@ def test_nonzero_word_commutant_structure():
 
 
 def test_quadruple_states_separable_and_ppt():
-    for q in lattice.ALL_QUADRUPLES[:10]:
-        mask = states.points_mask(q)
+    for mask in lattice.QUAD_MASKS[:10]:
         assert lattice.ppt_combinatorial(mask)
         assert lattice.pt_min_eig(mask) > -1e-12
         cls = lattice.classify(mask)
@@ -107,7 +108,7 @@ def test_exhaustive_criteria_implications():
     # and a special-subset point exists exactly when the k-criterion
     # fires; on every mask the special-subset flag is absent exactly when
     # the quadruples inside I cover I (checked on point tuples)
-    quads = [frozenset(q) for q in lattice.ALL_QUADRUPLES]
+    quads = [frozenset(q) for q in QUADS]
     n_ppt = 0
     for mask in range(1, 1 << 16):
         if lattice.ppt_combinatorial(mask):
@@ -161,6 +162,7 @@ def test_covering_examples():
 
 
 def test_certificate_verifies():
+    shared = {id(q) for q in lattice.QUAD_MASKS}
     for name in ("cover-10", "cover-8", "cover-9", "open-11"):
         mask = cli.example_mask(name)
         cov = lattice.uniform_covering(mask)
@@ -169,17 +171,21 @@ def test_certificate_verifies():
         assert rec.reconstruction_error < 1e-12
         assert rec.all_quadruple_states_ppt
         assert abs(sum(w for _, w in rec.weights) - 1) < 1e-12
+        # coverings and records hold the ints of QUAD_MASKS, not copies
+        assert all(id(q) in shared for q, _ in cov.items + rec.weights)
+        # numpy integer masks are accepted, and read as the shared ints
+        typed = lattice.Covering([(np.uint16(q), w) for q, w in cov.items], cov.multiplicity)
+        rec_typed = lattice.separability_certificate(mask, typed)
+        assert rec_typed == rec and all(id(q) in shared for q, _ in rec_typed.weights)
 
 
 def test_certificate_rejects_bad_coverings():
     mask = cli.example_mask("cover-8")
     cov = lattice.uniform_covering(mask)
-    outside = lattice.Covering([(lattice.ALL_QUADRUPLES[0], 1)], 1)
-    if states.points_mask(lattice.ALL_QUADRUPLES[0]) & mask != states.points_mask(
-        lattice.ALL_QUADRUPLES[0]
-    ):
-        with pytest.raises(lattice.BadCovering):
-            lattice.separability_certificate(mask, outside)
+    q = lattice.QUAD_MASKS[0]
+    assert q & ~mask
+    with pytest.raises(lattice.BadCovering, match="leaves the subset"):
+        lattice.separability_certificate(mask, lattice.Covering([(q, 1)], 1))
     lopsided = lattice.Covering([(cov.items[0][0], 1)], cov.multiplicity)
     with pytest.raises(lattice.BadCovering):
         lattice.separability_certificate(mask, lopsided)
@@ -190,37 +196,46 @@ def test_certificate_rejects_weights_that_are_not_positive_integers():
     # weight -1 cover the full lattice once, with a total weight of 4, so
     # every count and the total check out; a negative weight proves nothing
     def cosets(q):
-        return {lattice._QUADRUPLE[lattice.translate_mask(t, states.points_mask(q))] for t in lattice.ALL_POINTS}
+        return {lattice.translate_mask(t, states.points_mask(q)) for t in states.ALL_POINTS}
 
     first, second = Q00[:2]
     items = [(q, 2) for q in cosets(first)] + [(q, -1) for q in cosets(second)]
     with pytest.raises(lattice.BadCovering, match="positive integer"):
         lattice.separability_certificate(0xFFFF, lattice.Covering(items, 1))
-    q = Q00[0]
+    q = states.points_mask(Q00[0])
     for w in (0, 1.0, 0.5):
         with pytest.raises(lattice.BadCovering, match="positive integer"):
-            lattice.separability_certificate(states.points_mask(q), lattice.Covering([(q, w)], w))
+            lattice.separability_certificate(q, lattice.Covering([(q, w)], w))
 
 
 def test_certificate_rejects_items_that_are_not_special_quadruples():
-    # off-lattice points are caught before any bit shift ((5, 0) would
-    # alias (1, 1) and complete the special quadruple 0x0033), and the
-    # four rows of the full lattice, whose uniform mixture reproduces its
-    # state, are not special; the float point [1.0, 0.0] equals (1, 0) as
-    # a dict key, so it used to pass as special and raise a bare TypeError
-    rows = [tuple((a, b) for a in range(4)) for b in range(4)]
-    for mask, items in ((0xFFFF, [(((-1, 0), (0, 1), (1, 0), (1, 1)), 1)]),
-                        (0x0033, [(((0, 0), (1, 0), (5, 0), (0, 1)), 1)]),
-                        (0x0033, [(((0, 0), 1, 4, 5), 1)]),
-                        (0x0033, [(((0, 0), (0, 1), [1.0, 0.0], (1, 1)), 1)]),
-                        (0x0033, [(((0, 0), (0, 1), (4, 0), (1, 1)), 1)]),
-                        (0x0033, [(((0, 0), (0, 1), "ab", (1, 1)), 1)]),
-                        (0xFFFF, [(r, 1) for r in rows])):
+    # an item is the mask of a special quadruple: a mask that is not
+    # special (the four rows of the full lattice, whose uniform mixture
+    # reproduces its state, are not), an item that is not an integer (a
+    # tuple of points; 51.0, which equals the special 0x0033) and a mask
+    # outside the lattice are rejected
+    rows = [0x000F << 4 * b for b in range(4)]
+    for mask, items in ((0x000F, [(0x000F, 1)]),
+                        (0xFFFF, [(r, 1) for r in rows]),
+                        (0x0033, [(((0, 0), (1, 0), (0, 1), (1, 1)), 1)]),
+                        (0x0033, [(51.0, 1)]),
+                        (0xFFFF, [(-1, 1)]),
+                        (0xFFFF, [(0x10000, 1)])):
         with pytest.raises(lattice.BadCovering):
             lattice.separability_certificate(mask, lattice.Covering(items, 1))
-    # JSON-list points still verify
-    json_items = [([[0, 0], [0, 1], [1, 0], [1, 1]], 1)]
+    # a numpy integer mask is accepted
+    typed = lattice.Covering([(np.int64(0x0033), 1)], 1)
+    assert lattice.separability_certificate(0x0033, typed).weights == [(0x0033, 1.0)]
+    # a report's JSON point lists verify after points_mask, which rejects
+    # off-lattice points before any bit shift ((5, 0) would alias (1, 1)
+    # and complete 0x0033) and float points ([1.0, 0.0] equals (1, 0))
+    json_items = [(states.points_mask([[0, 0], [0, 1], [1, 0], [1, 1]]), 1)]
     assert lattice.separability_certificate(0x0033, lattice.Covering(json_items, 1)).reconstruction_error < 1e-12
+    for points in ([(-1, 0), (0, 1), (1, 0), (1, 1)], [(0, 0), (1, 0), (5, 0), (0, 1)],
+                   [(0, 0), 1, 4, 5], [(0, 0), (0, 1), [1.0, 0.0], (1, 1)],
+                   [(0, 0), (0, 1), (4, 0), (1, 1)], [(0, 0), (0, 1), "ab", (1, 1)]):
+        with pytest.raises((TypeError, ValueError)):
+            states.points_mask(points)
 
 
 def test_masks_outside_the_lattice_are_out_of_range():
@@ -251,14 +266,14 @@ def test_translate_mask_rejects_points_off_the_lattice():
         with pytest.raises(ValueError, match="Pauli index out of range"):
             lattice.translate_mask(bad, 0x0003)
         with pytest.raises(ValueError, match="Pauli index out of range"):
-            lattice.point_bit(bad)
+            states.point_bit(bad)
 
 
 def test_bit_helpers_match_their_definitions():
     for mask in range(1 << 16):
         assert lattice.popcount(mask) == bin(mask).count("1")
-    for t in lattice.ALL_POINTS:
-        s = lattice.point_bit(t)
+    for t in states.ALL_POINTS:
+        s = states.point_bit(t)
         for mask in range(1, 1 << 16):
             assert lattice.translate_mask(t, mask) == sum(1 << (b ^ s) for b in range(16) if mask >> b & 1)
 
@@ -271,16 +286,16 @@ def test_cross_counts_match_a_recount_from_points():
     # is cached for the last mask asked, so masks are asked in
     # alternation: a stale entry would be returned for the wrong mask.
     # The kernel run on all masks at once gives the same rows.
-    quads = [frozenset(q) for q in lattice.ALL_QUADRUPLES]
+    quads = [frozenset(q) for q in QUADS]
 
     def recount(I):
         pts = set(states.mask_points(I))
         cross = {(alpha, beta): sum((a == alpha) + (b == beta) for a, b in pts) - 2 * ((alpha, beta) in pts)
-                 for alpha, beta in lattice.ALL_POINTS}
+                 for alpha, beta in states.ALL_POINTS}
         covered = set().union(*(q for q in quads if q <= pts))
         return (len(pts), max(cross.values()),
-                next((p for p in lattice.ALL_POINTS if p in pts and p not in covered), None),
-                next((p for p in lattice.ALL_POINTS if p not in pts and cross[p] == 1), None),
+                next((p for p in states.ALL_POINTS if p in pts and p not in covered), None),
+                next((p for p in states.ALL_POINTS if p not in pts and cross[p] == 1), None),
                 next(((mu, nu) for mu in range(4) for nu in range(4)
                       if cross[((mu + 2) % 4, (nu + 2) % 4)] == 1), None))
 
@@ -300,7 +315,7 @@ def test_translation_covariance():
     rng = np.random.default_rng(11)
     for _ in range(50):
         mask = int(rng.integers(1, 1 << 16))
-        t = lattice.ALL_POINTS[int(rng.integers(16))]
+        t = states.ALL_POINTS[int(rng.integers(16))]
         img = lattice.translate_mask(t, mask)
         assert lattice.popcount(img) == lattice.popcount(mask)
         assert lattice.translate_mask(t, img) == mask  # involutive
@@ -311,22 +326,24 @@ def test_translation_covariance():
 def test_canonical_mask():
     # reference: the first least of the 16 translates, in ALL_POINTS order
     for mask in range(1, 1 << 16):
-        imgs = [lattice.translate_mask(t, mask) for t in lattice.ALL_POINTS]
+        imgs = [lattice.translate_mask(t, mask) for t in states.ALL_POINTS]
         i = imgs.index(min(imgs))
-        assert lattice.canonical_mask(mask) == (imgs[i], lattice.ALL_POINTS[i])
+        assert lattice.canonical_mask(mask) == (imgs[i], states.ALL_POINTS[i])
 
 
 def test_quadruple_translate_table():
-    for i, q in enumerate(lattice.QUAD_MASKS):
-        for s, t in enumerate(lattice.ALL_POINTS):
-            assert lattice.QUAD_MASKS[lattice._QUAD_TRANSLATE[i][s]] == lattice.translate_mask(t, q)
+    shared = {id(q) for q in lattice.QUAD_MASKS}
+    assert list(lattice._QUAD_TRANSLATE) == lattice.QUAD_MASKS
+    for q, imgs in lattice._QUAD_TRANSLATE.items():
+        assert imgs == [lattice.translate_mask(t, q) for t in states.ALL_POINTS]
+        assert imgs[0] is q and all(id(img) in shared for img in imgs)
 
 
 def test_block_canonical_matches_canonical_mask():
     masks = list(range(1, 1 << 16))
     canon, index = lattice._block_canonical(np.array(masks, dtype=np.uint16))
     for mask, c, s in zip(masks, canon, index):
-        assert lattice.canonical_mask(mask) == (c, lattice.ALL_POINTS[s])
+        assert lattice.canonical_mask(mask) == (c, states.ALL_POINTS[s])
 
 
 def test_survey_runs_every_covering_search_afresh(monkeypatch):
@@ -390,7 +407,7 @@ def test_every_survey_covering_is_uniform_on_its_mask():
     # an integer recount, apart from `separability_certificate`: every item
     # is a special quadruple inside the mask with a positive int weight,
     # and covers each point of the mask `multiplicity` times, no other point
-    special = set(lattice.ALL_QUADRUPLES)
+    special = set(lattice.QUAD_MASKS)
     separable = 0
     for rec in lattice.survey():
         cov = rec.classification.covering
@@ -399,11 +416,11 @@ def test_every_survey_covering_is_uniform_on_its_mask():
             continue
         separable += 1
         points = set(states.mask_points(rec.mask))
-        counts = dict.fromkeys(lattice.ALL_POINTS, 0)
+        counts = dict.fromkeys(states.ALL_POINTS, 0)
         for q, w in cov.items:
-            assert q in special and points.issuperset(q)
+            assert q in special and points.issuperset(states.mask_points(q))
             assert type(w) is int and w > 0
-            for p in q:
+            for p in states.mask_points(q):
                 counts[p] += w
         assert all(k == (cov.multiplicity if p in points else 0) for p, k in counts.items())
     assert separable == 8735
@@ -495,7 +512,8 @@ def test_survey_reads_its_masks_one_block_at_a_time(monkeypatch):
 
 
 # sha256 of repr([(mask, multiplicity, items)]) of `uniform_covering` over
-# the Separable translation-canonical masks, in mask order
+# the Separable translation-canonical masks, in mask order, each item's
+# quadruple as its sorted point tuple
 COVERINGS_SHA256 = "c8b9fd0066131b0a3c93565047b17fe2574ef88c883cd13dec21e824472327f8"
 
 
@@ -509,7 +527,9 @@ def test_covering_search_finds_the_same_first_covering():
     for _, cov in found:
         mult[cov.multiplicity] = mult.get(cov.multiplicity, 0) + 1
     assert len(canon) == 680 and mult == {1: 91, 2: 483, 4: 106}
-    digest = hashlib.sha256(repr([(I, cov.multiplicity, cov.items) for I, cov in found]).encode()).hexdigest()
+    as_points = [(I, cov.multiplicity, [(tuple(sorted(states.mask_points(q))), w) for q, w in cov.items])
+                 for I, cov in found]
+    digest = hashlib.sha256(repr(as_points).encode()).hexdigest()
     assert digest == COVERINGS_SHA256
 
 

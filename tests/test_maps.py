@@ -53,10 +53,7 @@ def test_diag_map_applies_as_weighted_conjugations():
     coeffs = rng.normal(size=16)
     cm = maps.choi_of_diag(coeffs)
     X = random_matrix(rng, 4)
-    direct = sum(
-        coeffs[states.word_flat_index(w)] * pauli.word_matrix(w) @ X @ pauli.word_matrix(w)
-        for w in states.WORDS
-    )
+    direct = sum(c * pauli.word_matrix(w) @ X @ pauli.word_matrix(w) for c, w in zip(coeffs, states.ALL_POINTS))
     assert np.allclose(apply_map(cm, X), direct, atol=1e-10)
 
 
@@ -110,8 +107,8 @@ def test_stormer_split_of_transposition():
     # trace - transposition/mu is completely positive from mu = 1 on
     vals, nonneg = maps.stormer_cp_part(maps.transposition_map(), 1.0)
     assert nonneg
-    hits = [w for w in states.WORDS if vals[states.word_flat_index(w)] > 1e-12]
-    assert all(abs(vals[states.word_flat_index(w)] - 0.5) < 1e-12 for w in hits)
+    hits = [w for w, v in zip(states.ALL_POINTS, vals) if v > 1e-12]
+    assert all(abs(vals[states.point_bit(w)] - 0.5) < 1e-12 for w in hits)
     assert len(hits) == 6 and all(list(w).count(2) == 1 for w in hits)
     _, nonneg_small = maps.stormer_cp_part(maps.transposition_map(), 0.5)
     assert not nonneg_small
@@ -136,6 +133,21 @@ def test_gamma_family_is_positive_but_not_cp_for_positive_times():
     for t in (-0.1, float("nan")):
         with pytest.raises(maps.BadParameter):
             maps.gamma_map(t)
+
+
+def test_gamma_map_coefficients_sit_at_their_words():
+    # Gamma_t[X] = sum_p c_p sigma_p X sigma_p, c_p the coefficient at
+    # point_bit(p); every word is an eigenvector.  The multiples of
+    # sigma_(0,1) and sigma_(1,0) differ, so they catch the (0,i) and (i,0)
+    # coefficients trading places, which the spectrum and see-saw do not
+    coeffs = maps.gamma_map(0.5)
+    cm = maps.choi_of_diag(coeffs)
+    for q, multiple in (((0, 1), 0.859816548922092), ((1, 0), 0.182063100262582)):
+        X = pauli.word_matrix(q)
+        direct = sum(coeffs[states.point_bit(p)] * pauli.word_matrix(p) @ X @ pauli.word_matrix(p)
+                     for p in states.ALL_POINTS)
+        assert np.allclose(direct, multiple * X, atol=1e-12)
+        assert np.allclose(apply_map(cm, X), direct, atol=1e-12)
 
 
 def test_phi_v_map_requires_unit_vector():
@@ -190,8 +202,7 @@ def test_extend_apply_matches_kron_of_choi_action():
     B = random_matrix(rng, 4)
     R = np.kron(A, B)
     rho = states.DensityMatrix(R, (4, 4))
-    LB = sum(coeffs[states.word_flat_index(w)] * pauli.word_matrix(w) @ B @ pauli.word_matrix(w)
-             for w in states.WORDS)
+    LB = sum(c * pauli.word_matrix(w) @ B @ pauli.word_matrix(w) for c, w in zip(coeffs, states.ALL_POINTS))
     assert np.allclose(maps.extend_apply(cm, rho), np.kron(A, LB), atol=1e-9)
 
 

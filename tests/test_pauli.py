@@ -4,7 +4,7 @@ arithmetic built independently inside the tests."""
 import numpy as np
 import pytest
 
-from latticewitness import lattice, pauli
+from latticewitness import pauli, states
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -96,11 +96,11 @@ def test_check_index_rejects_out_of_range():
 def test_point_checks_take_integer_indices_only():
     # int() used to truncate: (1.5, 0) read as (1, 0), 1.9 as 1 and 1.7 as 1
     i, j = np.int64(1), np.uint8(0)
-    assert lattice.point_bit((i, j)) == 1
+    assert states.point_bit((i, j)) == 1
     assert pauli.tau((np.int8(1), j), (1, 1)) == (0, 1)
     assert np.array_equal(pauli.word_matrix((i, j)), np.kron(X, I2))
     with pytest.raises(TypeError):
-        lattice.point_bit((1.5, 0))
+        states.point_bit((1.5, 0))
     with pytest.raises(TypeError):
         pauli.tau((1.9, 0), (1, 1))
     with pytest.raises(TypeError):

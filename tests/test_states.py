@@ -8,7 +8,7 @@ from latticewitness import linalg, maps, states
 
 
 def basis_projector(w):  # the basis element P_w
-    return states._basis_projectors()[states.word_flat_index(w)]
+    return states._basis_projectors()[states.point_bit(w)]
 
 
 def schmidt_coefficients(v, d1, d2):  # numpy's SVD as an independent oracle
@@ -16,7 +16,7 @@ def schmidt_coefficients(v, d1, d2):  # numpy's SVD as an independent oracle
 
 
 def test_basis_projectors_are_orthonormal_rank_one():
-    projs = [basis_projector(w) for w in states.WORDS]
+    projs = [basis_projector(w) for w in states.ALL_POINTS]
     for i, P in enumerate(projs):
         assert abs(np.trace(P) - 1) < 1e-12
         assert np.allclose(P @ P, P)
@@ -62,14 +62,15 @@ def test_lattice_state_rejects_empty_subset():
 
 
 def test_lattice_indicator_and_state_match_the_projector_sum():
-    # the indicator is in word order 4*alpha + beta; the state equals
-    # the plain loop over the subset's projectors, bit for bit
+    # the indicator is in bit order, point (alpha, beta) at 4*beta + alpha;
+    # the state equals the plain loop over the subset's projectors, bit
+    # for bit
     for mask in (0x0001, 0x8421, 0xFFFF, 0x1234, 0x2D71):
         ind = states.lattice_indicator(mask)
         points = states.mask_points(mask)
         for alpha in range(4):
             for beta in range(4):
-                assert ind[4 * alpha + beta] == ((alpha, beta) in points)
+                assert ind[4 * beta + alpha] == ((alpha, beta) in points)
         ref = np.zeros((16, 16), dtype=complex)
         for alpha, beta in points:
             ref += basis_projector((alpha, beta))
@@ -100,6 +101,8 @@ def test_mask_points_round_trip():
 def test_point_bit_layout():
     # point (alpha, beta) lives at bit 4*beta + alpha
     assert states.mask_points(1 << 4 * 2 + 3) == [(3, 2)]
+    assert states.point_bit((3, 2)) == 11 and states.ALL_POINTS[11] == (3, 2)
+    assert [states.point_bit(p) for p in states.ALL_POINTS] == list(range(16))
 
 
 def test_bell_states_are_orthonormal_and_maximally_entangled():

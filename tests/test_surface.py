@@ -30,7 +30,6 @@ KEEP = {
     "pauli.tau": "the lattice translation; named in BENCHMARK.json",
     "states.assert_density": "checks that each named state is a density matrix",
     "states.sigma_diagonal_state": "the sigma-diagonal states sum_w r_w P_w; exported by the package",
-    "states.word_flat_index": "counted by name in perfbench/tracer.py",
 }
 
 
