@@ -70,8 +70,8 @@ def reduction_check(rho: states.DensityMatrix) -> CriterionVerdict:
     rho_a = linalg.partial_trace(rho.mat, rho.dims, which=2)
     rho_b = linalg.partial_trace(rho.mat, rho.dims, which=1)
     low = min(
-        linalg.min_eig(linalg.tensor(np.eye(d1), rho_b) - rho.mat),
-        linalg.min_eig(linalg.tensor(rho_a, np.eye(d2)) - rho.mat),
+        linalg.min_eig(np.kron(np.eye(d1), rho_b) - rho.mat),
+        linalg.min_eig(np.kron(rho_a, np.eye(d2)) - rho.mat),
     )
     return CriterionVerdict("reduction", low < -1e-9, low)
 

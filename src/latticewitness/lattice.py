@@ -277,15 +277,15 @@ def _multicover(quads, I: int, M: int):
     return weights if solve(I, (1 << len(quads)) - 1) else None
 
 
-# Largest multiplicity the covering search tries; the survey finds every
-# covering at M = 1, 2 or 4.
-MAX_MULTIPLICITY = 12
+# The largest least multiplicity of a Separable subset, by the orbit
+# table of tests/test_orbits.py (every one is 1, 2 or 4).
+MAX_MULTIPLICITY = 4
 
 
 def uniform_covering(I: int):
     """Minimal-multiplicity uniform covering of I by special quadruples
-    inside I, searched for M = 1..MAX_MULTIPLICITY; None if none exists
-    in that range."""
+    inside I, searched for M = 1..MAX_MULTIPLICITY; None exactly when I
+    is entangled, by the orbit table of tests/test_orbits.py."""
     I = check_mask(I)
     quads = [q for q in QUAD_MASKS if q & I == q]  # with none, every search below fails
     for M in range(1, MAX_MULTIPLICITY + 1):
@@ -321,15 +321,19 @@ def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
             raise BadCovering(f"{q!r} is not the mask of a special quadruple") from None
         if q & ~I:
             raise BadCovering("covering quadruple leaves the subset")
-        if not isinstance(w, int) or w < 1:
+        try:
+            n = index(w)
+        except TypeError:
+            n = 0
+        if n < 1:
             raise BadCovering(f"weight {w!r} is not a positive integer")
         for b in _QUAD_BITS[q]:
-            counts[b] += w
-        items.append((q, w))
+            counts[b] += n
+        items.append((q, n))
     M = covering.multiplicity  # uniform on I implies 4 N_Q = M N_I, as 4 points per quadruple
     if any((counts[b] != 0) != bool(I >> b & 1) or (I >> b & 1 and counts[b] != M) for b in range(16)):
         raise BadCovering("covering is not uniform on the subset")
-    total = covering.total_weight
+    total = sum(w for _, w in items)
     mix = np.zeros((16, 16), dtype=complex)
     all_ppt = True
     for q, w in items:
@@ -352,7 +356,7 @@ def pt_min_eig(I: int) -> float:
 
 @dataclass(slots=True)
 class Classification:
-    tag: str  # Separable | NptEntangled | PptEntangled | Unknown
+    tag: str  # Separable | NptEntangled | PptEntangled
     criteria_fired: list = field(default_factory=list)  # names, precedence order
     special_point: tuple = None
     one_point: tuple = None
@@ -391,13 +395,10 @@ def _ppt_classification(I: int, sp, op, kc, canon: int, s: int, memo: dict) -> C
     absent) and its least translate canon, the translate by ALL_POINTS[s].
     `memo` maps canon to its `uniform_covering`."""
     fired = [name for name, hit in (("special_subset", sp), ("one_point", op), ("k_criterion", kc)) if hit is not None]
-    if fired:
-        delta = None if sp is None else _delta_at(I, point_bit(sp))
-        return Classification("PptEntangled", fired, sp, op, kc, witness_delta=delta)
-    if canon not in memo:
-        memo[canon] = uniform_covering(canon)
-    if (cov := memo[canon]) is None:
-        return Classification("Unknown", [])
+    if fired:  # then sp is set: a PPT subset is special iff k fires (test_exhaustive_criteria_implications)
+        return Classification("PptEntangled", fired, sp, op, kc, witness_delta=_delta_at(I, point_bit(sp)))
+    if (cov := memo.get(canon)) is None:  # not searched yet; by the orbit table it finds a covering
+        cov = memo[canon] = uniform_covering(canon)
     # tau_s maps I onto canon and is involutive, so it maps back
     moved = [(_QUAD_TRANSLATE[q][s], w) for q, w in cov.items]
     return Classification("Separable", [], covering=Covering(moved, cov.multiplicity))

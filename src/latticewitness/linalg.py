@@ -139,10 +139,6 @@ def trace_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, "nuc"))
 
 
-def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
-
-
 def _bipartite(M: np.ndarray, dims) -> np.ndarray:
     M = _square(M)
     d1, d2 = dims

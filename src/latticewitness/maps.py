@@ -65,7 +65,7 @@ def choi_of_kraus(k: KrausSet, in_dim: int) -> ChoiMap:
     P = np.outer(plus, plus.conj())
     C = np.zeros((in_dim * out_dim, in_dim * out_dim), dtype=complex)
     for c, K in k.terms:
-        op = linalg.tensor(np.eye(in_dim), np.asarray(K, dtype=complex))
+        op = np.kron(np.eye(in_dim), np.asarray(K, dtype=complex))
         C += c * (op @ P @ op.conj().T)
     return ChoiMap(C, in_dim, out_dim)
 

@@ -79,7 +79,7 @@ def point_bit(p) -> int:  # a point off the lattice raises ValueError
 def _basis_vectors() -> np.ndarray:
     """Rows (1 x sigma_w)|max symmetric> for the 16 words in bit order."""
     plus = max_symmetric_vector(4)
-    return np.array([linalg.tensor(np.eye(4), pauli.word_matrix(w)) @ plus for w in ALL_POINTS])
+    return np.array([np.kron(np.eye(4), pauli.word_matrix(w)) @ plus for w in ALL_POINTS])
 
 
 @lru_cache(maxsize=None)  # built on first use, then shared by every caller

@@ -269,6 +269,9 @@ def test_verify_thesis_exit_and_rows(capsys):
     # with the faithfully computed values
     assert fails == {"tiles-realignment", "special-8", "open-11"}
     assert len(lines) == len(cli.WORKED_EXAMPLES) + 3  # plus the named-state rows
+    # the thesis's undecided pattern needs M = 4, beyond a search capped at M <= 3
+    assert "[FAIL] open-11                  tag Separable, least multiplicity M = 4" in lines
+    assert "[PASS] npt-10                   tag NptEntangled" in lines
 
 
 # sha256 of the full survey reports; any change to a row, a field's
@@ -317,9 +320,10 @@ def test_text_tables_hold_the_json_of_their_values():
     # covering items: the JSON with every quote doubled, as csv.writer
     # writes it inside the quoted certificate cell, the quadruple's points
     # sorted; (quadruple mask, weight) for every weight up to the largest
-    # multiplicity
+    # multiplicity, 4
     assert set(cli._ITEM_CSV) == set(itertools.product(lattice.QUAD_MASKS,
                                                         range(1, lattice.MAX_MULTIPLICITY + 1)))
+    assert len(cli._ITEM_CSV) == 240
     for (q, w), text in cli._ITEM_CSV.items():
         points = [list(p) for p in sorted(states.mask_points(q))]
         assert len(points) == 4 and states.points_mask(points) == q

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -173,10 +174,12 @@ def test_certificate_verifies():
         assert abs(sum(w for _, w in rec.weights) - 1) < 1e-12
         # coverings and records hold the ints of QUAD_MASKS, not copies
         assert all(id(q) in shared for q, _ in cov.items + rec.weights)
-        # numpy integer masks are accepted, and read as the shared ints
-        typed = lattice.Covering([(np.uint16(q), w) for q, w in cov.items], cov.multiplicity)
+        # numpy integer masks and weights are accepted, and read as the
+        # shared ints and as Python ints
+        typed = lattice.Covering([(np.uint16(q), np.int64(w)) for q, w in cov.items], cov.multiplicity)
         rec_typed = lattice.separability_certificate(mask, typed)
         assert rec_typed == rec and all(id(q) in shared for q, _ in rec_typed.weights)
+        assert all(type(w) is float for _, w in rec_typed.weights)
 
 
 def test_certificate_rejects_bad_coverings():
@@ -203,9 +206,12 @@ def test_certificate_rejects_weights_that_are_not_positive_integers():
     with pytest.raises(lattice.BadCovering, match="positive integer"):
         lattice.separability_certificate(0xFFFF, lattice.Covering(items, 1))
     q = states.points_mask(Q00[0])
-    for w in (0, 1.0, 0.5):
-        with pytest.raises(lattice.BadCovering, match="positive integer"):
-            lattice.separability_certificate(q, lattice.Covering([(q, w)], w))
+    for w in (0, -1, 1.0, 0.5, np.int64(0), np.float64(1.0)):
+        with pytest.raises(lattice.BadCovering, match=re.escape(f"weight {w!r} is not a positive integer")):
+            lattice.separability_certificate(q, lattice.Covering([(q, w)], 1))
+    # a numpy integer weight is read through operator.index, as masks are
+    rec = lattice.separability_certificate(q, lattice.Covering([(q, np.int64(1))], 1))
+    assert rec.weights == [(q, 1.0)] and type(rec.weights[0][1]) is float
 
 
 def test_certificate_rejects_items_that_are_not_special_quadruples():

@@ -65,7 +65,7 @@ def test_partial_trace_of_tensor_product():
     rng = np.random.default_rng(5)
     A = random_hermitian(rng, 3)
     B = random_hermitian(rng, 4)
-    M = linalg.tensor(A, B)
+    M = np.kron(A, B)
     assert np.allclose(linalg.partial_trace(M, (3, 4), which=2), A * np.trace(B))
     assert np.allclose(linalg.partial_trace(M, (3, 4), which=1), B * np.trace(A))
 
