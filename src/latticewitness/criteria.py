@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, maps, states
+from . import lattice, linalg, maps, states
 
 
 class NonSquareParties(ValueError):
@@ -129,9 +129,7 @@ def max_delta(I: int, p, seed: int = 0xC0FFEE, restarts: int = 64) -> float:
     one see-saw with `restarts` restarts seeded by `seed` (`restarts < 1`
     raises `maps.BadParameter`); a product vector above 1 + 1e-9 raises
     `DeltaViolated`."""
-    from .lattice import exact_delta  # lattice imports this module
-
-    delta = exact_delta(I, p)
+    delta = lattice.exact_delta(I, p)
     val, _, _ = delta_violation(I, p, delta, restarts=restarts, seed=seed)
     if val > 1 + 1e-9:
         raise DeltaViolated(f"see-saw value {val!r} > 1 at delta {delta} on {I:#06x}, {p}")

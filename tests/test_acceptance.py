@@ -5,10 +5,12 @@ single [PASS]/[FAIL] line regardless of pytest capture settings.
 """
 
 import time
+from collections import Counter
 
 import numpy as np
+import reference
 
-from latticewitness import cli, criteria, lattice, linalg, pauli, states
+from latticewitness import cli, criteria, lattice, linalg, states
 
 SEED = 0xC0FFEE
 
@@ -125,10 +127,8 @@ def test_06_large_subsets_separable(capsys):
 
 def test_07_exhaustive_oracle_equivalence(capsys):
     t0 = time.perf_counter()
-    mismatches = [
-        m for m in range(1, 1 << 16)
-        if lattice.ppt_combinatorial(m) != (lattice.pt_min_eig(m) >= -1e-9)
-    ]
+    low = reference.pt_minima()  # numpy.linalg on the states built from their definition
+    mismatches = [m for m in range(1, 1 << 16) if lattice.ppt_combinatorial(m) != (low[m] >= -1e-9)]
     dt = time.perf_counter() - t0
     ok = not mismatches and dt < 600
     _report(capsys, "exhaustive-oracle-equivalence", ok,
@@ -138,17 +138,9 @@ def test_07_exhaustive_oracle_equivalence(capsys):
 def test_08_quadruple_census(capsys):
     quads = [tuple(sorted(states.mask_points(q))) for q in lattice.QUAD_MASKS]
     per_point = [sum(p in q for q in quads) for p in states.ALL_POINTS]
-    # independent reconstruction of the origin quadruples: {(0,0), w1, w2,
-    # w1*w2} with w1, w2 distinct commuting nonzero words
-    expect_q00 = set()
-    nonzero = [p for p in states.ALL_POINTS if p != (0, 0)]
-    for i, w1 in enumerate(nonzero):
-        for w2 in nonzero[i + 1:]:
-            if not pauli.words_commute(w1, w2):
-                continue
-            w3 = tuple(pauli.pauli_product(a, b)[0] for a, b in zip(w1, w2))
-            if w3 not in (w1, w2, (0, 0)):
-                expect_q00.add(tuple(sorted(((0, 0), w1, w2, w3))))
+    # the origin quadruples {(0,0), w1, w2, w1*w2} of tests/reference.py, w1 != w2 commuting
+    expect_q00 = {tuple(sorted(reference.POINTS[b] for b in range(16) if q >> b & 1))
+                  for q in reference.special_quadruples() if q & 1}
     got_q00 = {q for q in quads if q[0] == (0, 0)}
     ok = (len(quads) == 60 and all(c == 15 for c in per_point)
           and len(got_q00) == 15 and got_q00 == expect_q00)
@@ -157,42 +149,38 @@ def test_08_quadruple_census(capsys):
 
 
 def test_09_witness_arithmetic(capsys):
-    flagged = {}
-    for m in range(1, 1 << 16):
-        p = lattice.special_subset_point(m)
-        if p is not None:
-            flagged[m] = p
-    orbits = {}
-    trans = {}
-    for m in flagged:
-        canon, t = lattice.canonical_mask(m)
-        orbits.setdefault(canon, []).append(m)
-        trans[m] = t
-    bad = []
+    # One see-saw per AGSp(4,2) orbit of pairs (I, p), I special-flagged
+    # and p any uncovered point of I: each generator V is a product
+    # unitary with V C(I, p, delta) V^dag = C(gI, gp, delta), C the delta
+    # Choi, so the see-saw maximum of C is the same on the whole orbit.
     t0 = time.perf_counter()
-    for canon, members in sorted(orbits.items()):
-        pc = lattice.special_subset_point(canon)
-        try:
-            # max_delta re-checks block positivity at delta with the see-saw
-            delta = criteria.max_delta(canon, pc, seed=SEED, restarts=64)
+    orbits, points = reference.pair_orbits(), states.ALL_POINTS
+    deltas, bad = {}, []
+    for I, b in sorted(set(orbits.values())):
+        try:  # max_delta re-checks block positivity at delta with the see-saw
+            delta = deltas[I, b] = criteria.max_delta(I, points[b], seed=SEED, restarts=64)
         except criteria.DeltaViolated as exc:
-            bad.append(f"{canon:#06x}: block positivity violated ({exc})")
+            bad.append(f"{I:#06x} {points[b]}: block positivity violated ({exc})")
             continue
-        if delta <= 0:
-            bad.append(f"{canon:#06x}: delta = 0")
-            continue
-        n = lattice.popcount(canon)
-        for m in members:
-            pm = pauli.tau(trans[m], pc)
-            W = criteria.diagonal_lattice_witness(m, pm, delta)
-            got = criteria.witness_value(W, states.lattice_state(m))
-            if abs(got + delta / (4 * n)) > 1e-9:
-                bad.append(f"{m:#06x}: trace value {got:.3e}")
-        if len(bad) > 5:
-            break
-    dt = time.perf_counter() - t0
-    _report(capsys, "witness-arithmetic", not bad,
-            f"{len(flagged)} flagged subsets in {len(orbits)} orbits, {dt:.0f} s"
+        C = criteria._delta_choi(I, points[b], delta).choi
+        for name, (V, g) in reference.affine_generators().items():
+            gC = criteria._delta_choi(reference.mask_images(g)[I], points[g[b]], delta).choi
+            if not np.allclose(V @ C @ V.conj().T, gC, rtol=0, atol=1e-12):
+                bad.append(f"{I:#06x} {points[b]}: {name} does not conjugate C onto its image")
+    bad += [f"{I:#06x} {points[b]}: exact delta differs from its orbit's"
+            for (I, b), rep in orbits.items() if lattice.exact_delta(I, points[b]) != deltas.get(rep)]
+    flagged = [(I, n, p) for I, (n, _, p, _, _) in enumerate(reference.criteria_rows()) if p is not None]
+    for I, n, p in flagged:  # at the special point, the first uncovered point
+        delta = deltas.get(orbits[I, states.point_bit(p)], 0)
+        got = criteria.witness_value(criteria.diagonal_lattice_witness(I, p, delta), states.lattice_state(I))
+        if abs(got + delta / (4 * n)) > 1e-9:
+            bad.append(f"{I:#06x}: trace value {got:.3e}")
+    pairs = sum((I & ~covered).bit_count() for I, covered in enumerate(reference.covered_bits()))
+    census = Counter(deltas.values())
+    ok = not bad and len(orbits) == pairs == 127120 and len(flagged) == 43648 and census == {1: 48, 2: 6, 3: 1}
+    _report(capsys, "witness-arithmetic", ok,
+            f"{len(flagged)} flagged subsets, {len(orbits)} pairs in {len(deltas)} orbits "
+            f"(delta 1/2/3: {census[1]}/{census[2]}/{census[3]}), {time.perf_counter() - t0:.1f} s"
             + ("" if not bad else "; " + "; ".join(bad[:3])))
 
 

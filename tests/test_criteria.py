@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+import reference
 
 from latticewitness import criteria, lattice, linalg, maps, pauli, states
 
@@ -170,8 +171,7 @@ def test_max_delta_is_exact_on_every_point(monkeypatch):
     have the same answer, so the 2^15 masks J containing (0,0) cover
     every pair."""
     optimize = pytest.importorskip("scipy.optimize")
-    words = states.ALL_POINTS
-    sig = [pauli.word_matrix(w) for w in words]
+    sig = reference.word_matrices()  # in bit order, as states.ALL_POINTS
     psi = np.array([np.kron(np.eye(4), s) @ states.max_symmetric_vector(4) for s in sig])
 
     # translation: the delta Choi of (I, p) is the (1 x sigma_p)-conjugate
@@ -198,7 +198,7 @@ def test_max_delta_is_exact_on_every_point(monkeypatch):
             overlaps = np.abs(psi.conj() @ np.kron(a.conj(), b)) ** 2
             assert np.allclose(overlaps, 0.25 * states.lattice_indicator(qmask), atol=1e-12)
             assert abs(maps.product_expectation(choi, a.conj(), b) - 4.5 / 4) < 1e-12
-    through_origin = [s for s in lattice.QUAD_MASKS if s & 1]
+    through_origin = [s for s in reference.special_quadruples() if s & 1]
     assert len(through_origin) == 15
 
     masks = [J for J in range(1 << 16) if J & 1]
@@ -214,7 +214,7 @@ def test_max_delta_is_exact_on_every_point(monkeypatch):
     # rho = (1 + sum r_w sigma_w)/4, sum_O S_w[rho] - rho = 1 - sum_O r_w
     # sigma_w >= 0, so sum_O S_w - S_0 is positive, and so is Lambda when
     # the complement of J contains O.
-    others = [w for w in words if w != (0, 0)]
+    others = states.ALL_POINTS[1:]
     ovoids = [o for o in itertools.combinations(others, 5)
               if not any(pauli.words_commute(x, y) for x, y in itertools.combinations(o, 2))]
     assert len(ovoids) == 6
@@ -237,6 +237,11 @@ def test_max_delta_is_exact_on_every_point(monkeypatch):
     t4 = np.rint(4 * t).astype(int)
     assert np.array_equal(np.abs(t4), np.ones(16, dtype=int))
     T4 = np.array([[t4[w ^ v] for v in range(16)] for w in range(16)])
+    # One LP per orbit of the symplectic maps g keeping t (96 LPs for 2812
+    # masks): g fixes (0,0), delta* and the ovoids, and as g is linear c =
+    # a + t*b of J gives a o g^-1 + t*(b o g^-1) for gJ; each b is checked.
+    keep_t = [g for g in reference.symplectic_group() if all(t4[g[w]] == t4[w] for w in range(16))]
+    found = {}
     census = {"cp": 0, "ovoid": 0}
     lp = {1: 0, 2: 0, 3: 0}
     for J in masks:
@@ -249,9 +254,13 @@ def test_max_delta_is_exact_on_every_point(monkeypatch):
             continue
         c16 = 16 * (1 - states.lattice_indicator(J)).astype(int)
         c16[0] = -16 * d
-        res = optimize.linprog(np.zeros(16), A_ub=T4 / 4, b_ub=c16 / 16, bounds=(0, None), method="highs")
-        assert res.status == 0, f"{J:#06x}: no decomposition found"
-        b4 = np.rint(4 * res.x).astype(int)
+        if J not in found:
+            res = optimize.linprog(np.zeros(16), A_ub=T4 / 4, b_ub=c16 / 16, bounds=(0, None), method="highs")
+            assert res.status == 0, f"{J:#06x}: no decomposition found"
+            b4 = np.rint(4 * res.x).astype(int)
+            for g in keep_t:  # b o g^-1 is b4[g^-1], and argsort inverts a permutation
+                found.setdefault(sum(1 << g[x] for x in range(16) if J >> x & 1), b4[np.argsort(g)])
+        b4 = found[J]
         assert (b4 >= 0).all() and (c16 - T4 @ b4 >= 0).all(), f"{J:#06x}: inexact decomposition"
         assert not lattice.ppt_combinatorial(J)  # a decomposable witness detects only NPT states
         lp[d] += 1

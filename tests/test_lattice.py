@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import reference
 
 from latticewitness import cli, criteria, lattice, linalg, pauli, states
 
@@ -14,47 +15,29 @@ Q00 = [q for q in QUADS if q[0] == (0, 0)]  # the 15 through the origin, sorted
 
 
 def test_quadruple_census():
-    quads = QUADS
-    assert len(quads) == 60
-    assert len(set(quads)) == 60
+    assert len(QUADS) == len(set(QUADS)) == 60 and len(Q00) == 15
     assert all(type(q) is int and q.bit_count() == 4 for q in lattice.QUAD_MASKS)
-    for q in quads:
-        assert len(q) == 4
-        assert lattice.is_special(q)
-    # each lattice point lies in exactly 15 quadruples
-    for p in states.ALL_POINTS:
-        assert sum(p in q for q in quads) == 15
-    assert len(Q00) == 15
+    assert all(len(q) == 4 and lattice.is_special(q) for q in QUADS)
+    assert all(sum(p in q for q in QUADS) == 15 for p in states.ALL_POINTS)  # 15 through each point
 
 
 def test_quadruples_are_the_translates_of_the_commuting_planes():
-    # independent of the derivation in `lattice`: word matrices from the
-    # test's own Pauli matrices, products and commutation by matrix
-    # products; point (alpha, beta) is bit 4*beta + alpha
-    sig = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
-    word = [np.kron(sig[b & 3], sig[b >> 2]) for b in range(16)]
-    points = [(b & 3, b >> 2) for b in range(16)]
-
-    def product(a, b):  # the word that word a times word b is a phase times
-        return next(c for c in range(16) if abs(np.trace(word[c].conj().T @ word[a] @ word[b])) > 1)
-
-    planes = {frozenset((0, a, b, product(a, b))) for a in range(1, 16) for b in range(a + 1, 16)}
-    assert len(planes) == 35
-    commuting = [q for q in planes
-                 if all(np.allclose(word[a] @ word[b], word[b] @ word[a]) for a, b in itertools.combinations(q, 2))]
-    assert len(commuting) == 15
-    translates = {tuple(sorted(points[product(t, b)] for b in q)) for q in commuting for t in range(16)}
-    assert len(translates) == 60
-    assert QUADS == sorted(translates)  # QUAD_MASKS is in the order of its point lists
-    assert Q00 == sorted(tuple(sorted(points[b] for b in q)) for q in commuting)
+    # independent of the derivation in `lattice`: tests/reference.py reads
+    # the commutation of the words off their matrix products
+    form = reference.commutation_form()
+    planes = {frozenset((0, a, b, a ^ b)) for a in range(1, 16) for b in range(a + 1, 16)}
+    commuting = [q for q in planes if not any(form[a][b] for a in q for b in q)]
+    assert (len(planes), len(commuting), len(reference.special_quadruples())) == (35, 15, 60)
+    as_points = [tuple(sorted(reference.POINTS[b] for b in range(16) if q >> b & 1))
+                 for q in reference.special_quadruples()]
+    assert QUADS == sorted(as_points)  # QUAD_MASKS is in the order of its point lists
+    assert Q00 == sorted(tuple(sorted(reference.POINTS[b] for b in q)) for q in commuting)
 
 
 def test_q00_quadruples_pairwise_commute():
     # the words of a special quadruple through the origin commute pairwise
     for q in Q00:
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert pauli.words_commute(q[i], q[j])
+        assert all(pauli.words_commute(v, w) for v, w in itertools.combinations(q, 2))
 
 
 def test_nonzero_word_commutant_structure():
@@ -62,8 +45,7 @@ def test_nonzero_word_commutant_structure():
     # words and lies in exactly 3 origin quadruples
     nonzero = [p for p in states.ALL_POINTS if p != (0, 0)]
     for w in nonzero:
-        others = [v for v in nonzero if v != w and pauli.words_commute(w, v)]
-        assert len(others) == 6
+        assert sum(v != w and pauli.words_commute(w, v) for v in nonzero) == 6
         assert sum(w in q for q in Q00) == 3
 
 
@@ -108,8 +90,8 @@ def test_exhaustive_criteria_implications():
     # on every PPT mask the one-point criterion implies the k-criterion,
     # and a special-subset point exists exactly when the k-criterion
     # fires; on every mask the special-subset flag is absent exactly when
-    # the quadruples inside I cover I (checked on point tuples)
-    quads = [frozenset(q) for q in QUADS]
+    # the quadruples inside I cover I (the union of tests/reference.py)
+    covered = reference.covered_bits()
     n_ppt = 0
     for mask in range(1, 1 << 16):
         if lattice.ppt_combinatorial(mask):
@@ -117,15 +99,10 @@ def test_exhaustive_criteria_implications():
             if lattice.entangled_one_point(mask) is not None:
                 assert lattice.k_criterion(mask) is not None
             assert (lattice.special_subset_point(mask) is None) == (lattice.k_criterion(mask) is None)
-        points = frozenset(states.mask_points(mask))
-        covered = set()
-        for q in quads:
-            if q <= points:
-                covered |= q
         sp = lattice.special_subset_point(mask)
-        assert (sp is None) == (covered == points)
+        assert (sp is None) == (covered[mask] == mask)
         if sp is not None:
-            assert sp in points and sp not in covered
+            assert (mask & ~covered[mask]) >> states.point_bit(sp) & 1
     assert n_ppt == 11423
 
 
@@ -278,43 +255,26 @@ def test_translate_mask_rejects_points_off_the_lattice():
 def test_bit_helpers_match_their_definitions():
     for mask in range(1 << 16):
         assert lattice.popcount(mask) == bin(mask).count("1")
-    for t in states.ALL_POINTS:
-        s = states.point_bit(t)
+    for t in states.ALL_POINTS:  # the reference image moves each bit b to b ^ point_bit(t)
+        images = reference.mask_images(tuple(b ^ states.point_bit(t) for b in range(16)))
         for mask in range(1, 1 << 16):
-            assert lattice.translate_mask(t, mask) == sum(1 << (b ^ s) for b in range(16) if mask >> b & 1)
+            assert lattice.translate_mask(t, mask) == images[mask]
 
 
 def test_cross_counts_match_a_recount_from_points():
-    # the criteria kernel against a recount from point tuples on every
-    # mask: the point count, the largest cross count (row plus column,
-    # the point itself excluded), the special point, the one-point point
-    # and the k pair, each the first in bit order.  The single-mask row
-    # is cached for the last mask asked, so masks are asked in
-    # alternation: a stale entry would be returned for the wrong mask.
-    # The kernel run on all masks at once gives the same rows.
-    quads = [frozenset(q) for q in QUADS]
-
-    def recount(I):
-        pts = set(states.mask_points(I))
-        cross = {(alpha, beta): sum((a == alpha) + (b == beta) for a, b in pts) - 2 * ((alpha, beta) in pts)
-                 for alpha, beta in states.ALL_POINTS}
-        covered = set().union(*(q for q in quads if q <= pts))
-        return (len(pts), max(cross.values()),
-                next((p for p in states.ALL_POINTS if p in pts and p not in covered), None),
-                next((p for p in states.ALL_POINTS if p not in pts and cross[p] == 1), None),
-                next(((mu, nu) for mu in range(4) for nu in range(4)
-                      if cross[((mu + 2) % 4, (nu + 2) % 4)] == 1), None))
-
+    # the criteria kernel, on all masks at once, against the recount of
+    # tests/reference.py on every mask.  The single-mask row is cached for
+    # the last mask asked: each mask is asked after another one, again from
+    # the cache, and after the next one, so a stale entry would show.
+    ref = reference.criteria_rows()
     masks = range(1, 1 << 16)
-    block = lattice._criteria(np.array(masks, dtype=np.uint16))
-    prev, ref_prev = 0xFFFF, recount(0xFFFF)
-    for I, n, c, sp, op, kc in zip(masks, *block):
-        ref = recount(I)
-        assert lattice._criteria_row(I) == ref
-        assert lattice._criteria_row(prev) == ref_prev
-        assert lattice._criteria_row(I) == ref
-        assert (n, c, sp, op, kc) == ref
-        prev, ref_prev = I, ref
+    assert list(zip(*lattice._criteria(np.array(masks, dtype=np.uint16)))) == ref[1:]
+    prev = 0xFFFF
+    for I in masks:
+        assert lattice._criteria_row(I) == ref[I]
+        assert lattice._criteria_row(I) == ref[I]
+        assert lattice._criteria_row(prev) == ref[prev]
+        prev = I
 
 
 def test_translation_covariance():
@@ -331,10 +291,10 @@ def test_translation_covariance():
 
 def test_canonical_mask():
     # reference: the first least of the 16 translates, in ALL_POINTS order
+    imgs = np.array([reference.mask_images(tuple(b ^ s for b in range(16))) for s in range(16)])
+    least, first = imgs.min(0).tolist(), imgs.argmin(0).tolist()
     for mask in range(1, 1 << 16):
-        imgs = [lattice.translate_mask(t, mask) for t in states.ALL_POINTS]
-        i = imgs.index(min(imgs))
-        assert lattice.canonical_mask(mask) == (imgs[i], states.ALL_POINTS[i])
+        assert lattice.canonical_mask(mask) == (least[mask], states.ALL_POINTS[first[mask]])
 
 
 def test_quadruple_translate_table():
@@ -401,11 +361,14 @@ def test_survey_sample_matches_classify():
     # dispatch (survey tags NPT masks in its block loop and shares their
     # records) and the covering memo kept across the masks of a survey,
     # checked here on every mask, as is the exact NPT eigenvalue against
-    # numpy.linalg
+    # numpy.linalg; with the NPT tag checked against the combinatorial
+    # PPT test, the cross-check is test_07's oracle equivalence for the
+    # package's own oracle `pt_min_eig`
     for rec in lattice.survey(cross_validate=True):
         assert rec.classification == lattice.classify(rec.mask)
         assert rec.n_points == lattice.popcount(rec.mask)
         assert rec.cross_check_ok
+        assert (rec.classification.tag != "NptEntangled") == lattice.ppt_combinatorial(rec.mask)
     assert next(lattice.survey()).cross_check_ok is None
 
 
@@ -413,7 +376,7 @@ def test_every_survey_covering_is_uniform_on_its_mask():
     # an integer recount, apart from `separability_certificate`: every item
     # is a special quadruple inside the mask with a positive int weight,
     # and covers each point of the mask `multiplicity` times, no other point
-    special = set(lattice.QUAD_MASKS)
+    special = set(reference.special_quadruples())
     separable = 0
     for rec in lattice.survey():
         cov = rec.classification.covering
@@ -421,14 +384,12 @@ def test_every_survey_covering_is_uniform_on_its_mask():
             assert cov is None
             continue
         separable += 1
-        points = set(states.mask_points(rec.mask))
-        counts = dict.fromkeys(states.ALL_POINTS, 0)
+        counts = [0] * 16  # per bit
         for q, w in cov.items:
-            assert q in special and points.issuperset(states.mask_points(q))
+            assert q in special and q & ~rec.mask == 0
             assert type(w) is int and w > 0
-            for p in states.mask_points(q):
-                counts[p] += w
-        assert all(k == (cov.multiplicity if p in points else 0) for p, k in counts.items())
+            counts = [k + w * (q >> b & 1) for b, k in enumerate(counts)]
+        assert counts == [cov.multiplicity * (rec.mask >> b & 1) for b in range(16)]
     assert separable == 8735
 
 

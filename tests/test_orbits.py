@@ -4,7 +4,7 @@ tag, the least covering multiplicity M, the witness delta and the
 minimum partial-transpose eigenvalue are constant.  No orbit is left
 undecided, and no covering needs M > 4.
 
-The group and its orbits come from tests/conftest.py, built from the
+The group and its orbits come from tests/reference.py, built from the
 definitions of the words and the lattice states; the table below is
 checked against `lattice.survey()` on every mask and numerically on
 every representative.  `criteria_fired` is not an orbit invariant (the
@@ -12,9 +12,11 @@ one-point criterion fires on 576 of the 1440 masks of orbit 0x037b and
 on 96 of the 960 of orbit 0x077f), so it is not in the table.
 """
 
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
+import reference
 
 from latticewitness import lattice, states
 
@@ -103,8 +105,8 @@ def _expected(row):
     return tag, M, delta, float(low) if tag == "NptEntangled" else None
 
 
-def test_sp42_is_the_720_linear_maps_that_keep_the_commutation_form(affine_symmetry):
-    form = affine_symmetry.commutation_form()
+def test_sp42_is_the_720_linear_maps_that_keep_the_commutation_form():
+    form = reference.commutation_form()
     # the commutation form is symplectic on the bits under XOR: alternating,
     # bilinear and nondegenerate
     for a in range(16):
@@ -113,18 +115,18 @@ def test_sp42_is_the_720_linear_maps_that_keep_the_commutation_form(affine_symme
         for b in range(16):
             assert form[a][b] == form[b][a]
             assert all(form[a ^ b][c] == form[a][c] ^ form[b][c] for c in range(16))
-    group = affine_symmetry.symplectic_group()
+    group = reference.symplectic_group()
     assert len(group) == 720  # |Sp(4,2)| = 2^4 (2^2 - 1)(2^4 - 1)
     for g in group:
         assert sorted(g) == list(range(16))
         assert all(g[a ^ b] == g[a] ^ g[b] for a in range(16) for b in range(16))
 
 
-def test_cliffords_and_translations_permute_the_lattice_projectors(affine_symmetry):
-    group = affine_symmetry.symplectic_group()
-    proj = affine_symmetry.lattice_projectors()
+def test_cliffords_and_translations_permute_the_lattice_projectors():
+    group = reference.symplectic_group()
+    proj = reference.lattice_projectors()
     cliffords = []
-    for name, (V, bit_map) in affine_symmetry.affine_generators().items():
+    for name, (V, bit_map) in reference.affine_generators().items():
         assert np.allclose(V @ V.conj().T, np.eye(16))
         assert bit_map is not None, name
         for w, v in enumerate(bit_map):
@@ -136,21 +138,13 @@ def test_cliffords_and_translations_permute_the_lattice_projectors(affine_symmet
             assert bit_map in group, name
             cliffords.append(bit_map)
     # the Clifford bit maps generate all of Sp(4,2)
-    generated = {tuple(range(16))}
-    frontier = list(generated)
-    while frontier:
-        new = {tuple(c[x] for x in g) for g in frontier for c in cliffords} - generated
-        generated |= new
-        frontier = list(new)
-    assert generated == group
+    generated = reference.orbit_leaders([tuple(range(16))], [lambda g, c=c: tuple(c[x] for x in g) for c in cliffords])
+    assert set(generated) == group
 
 
-def test_orbit_table_holds_on_every_mask(affine_symmetry):
-    roots = affine_symmetry.orbit_roots()
-    sizes = {}
-    for m in range(1, 1 << 16):
-        sizes[roots[m]] = sizes.get(roots[m], 0) + 1
-    assert sizes == {row[0]: row[1] for row in ORBITS}
+def test_orbit_table_holds_on_every_mask():
+    roots = reference.orbit_roots()
+    assert Counter(roots[1:]) == {row[0]: row[1] for row in ORBITS}
     table = {row[0]: _expected(row) for row in ORBITS}
     tags = [row[2] for row in ORBITS]
     assert (tags.count("NptEntangled"), tags.count("PptEntangled"), tags.count("Separable")) == (44, 4, 20)
@@ -164,14 +158,13 @@ def test_orbit_table_holds_on_every_mask(affine_symmetry):
         assert _row(lattice.classify(mask)) == expected
 
 
-def test_orbit_representatives_check_numerically(affine_symmetry):
-    proj = affine_symmetry.lattice_projectors()
+def test_orbit_representatives_check_numerically():
+    proj = reference.lattice_projectors()
     for row in ORBITS:
         mask, _, tag, M, _, low = row
         rho = sum(proj[b] for b in range(16) if mask >> b & 1) / mask.bit_count()
         assert np.allclose(rho, states.lattice_state(mask).mat, atol=1e-15)
-        pt = rho.reshape(4, 4, 4, 4).transpose(0, 3, 2, 1).reshape(16, 16)
-        assert abs(np.linalg.eigvalsh(pt)[0] - float(low)) < 1e-12, hex(mask)
+        assert abs(reference.pt_minima()[mask] - float(low)) < 1e-12, hex(mask)
         cov = lattice.uniform_covering(mask)
         if tag != "Separable":
             assert cov is None, hex(mask)

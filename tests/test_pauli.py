@@ -1,16 +1,13 @@
 """Pauli tables and word algebra, checked against direct 2x2 matrix
-arithmetic built independently inside the tests."""
+arithmetic built independently in tests/reference.py."""
 
 import numpy as np
 import pytest
+import reference
 
 from latticewitness import pauli, states
 
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMAS = [I2, X, Y, Z]
+SIGMAS = reference.SIGMA  # I, X, Y, Z
 
 
 def test_single_qubit_matrices():
@@ -47,20 +44,15 @@ def test_phases_are_unit_modulus():
 
 
 def test_word_matrix_tensor_structure():
-    for a in range(4):
-        for b in range(4):
-            assert np.array_equal(pauli.word_matrix((a, b)), np.kron(SIGMAS[a], SIGMAS[b]))
+    for b, w in enumerate(reference.POINTS):  # the reference word at bit b is sigma_alpha x sigma_beta
+        assert np.array_equal(pauli.word_matrix(w), reference.word_matrices()[b])
 
 
 def test_words_commute_against_matrices():
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    ma = pauli.word_matrix((a, b))
-                    mb = pauli.word_matrix((c, d))
-                    expected = np.allclose(ma @ mb, mb @ ma)
-                    assert pauli.words_commute((a, b), (c, d)) == expected
+    form = reference.commutation_form()  # from the products of the word matrices
+    for a, w in enumerate(reference.POINTS):
+        for b, v in enumerate(reference.POINTS):
+            assert pauli.words_commute(w, v) == (not form[a][b])
 
 
 def test_tau_is_involutive_translation():
@@ -98,7 +90,7 @@ def test_point_checks_take_integer_indices_only():
     i, j = np.int64(1), np.uint8(0)
     assert states.point_bit((i, j)) == 1
     assert pauli.tau((np.int8(1), j), (1, 1)) == (0, 1)
-    assert np.array_equal(pauli.word_matrix((i, j)), np.kron(X, I2))
+    assert np.array_equal(pauli.word_matrix((i, j)), np.kron(SIGMAS[1], SIGMAS[0]))
     with pytest.raises(TypeError):
         states.point_bit((1.5, 0))
     with pytest.raises(TypeError):

@@ -73,3 +73,11 @@ def test_keep_reasons_that_cite_the_benchmark_hold():
     missing = sorted(f"{name} ({f})" for name, reason in KEEP.items() for f in BENCHMARK_FILES
                      if f in reason and not re.search(f'"{re.escape(name)}[".]', texts[f]))
     assert not missing, f"KEEP entries whose reason cites a benchmark file that does not name them: {missing}"
+
+
+def test_the_test_references_import_nothing_from_the_package():
+    # tests/reference.py is built from definitions: it names the package nowhere
+    text = (ROOT / "tests" / "reference.py").read_text()
+    imported = {"." * n.level + (n.module or "") for n in ast.walk(ast.parse(text)) if isinstance(n, ast.ImportFrom)}
+    imported |= {a.name for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Import) for a in n.names}
+    assert imported == {"itertools", "functools", "numpy"} and "latticewitness" not in text
