@@ -1,8 +1,9 @@
 """Entanglement criteria and witnesses.
 
 Numeric detectors (PPT, realignment, reduction) return a uniform verdict
-record; `diagonal_lattice_witness` builds a Hermitian matrix that is
-nonnegative on product vectors for delta <= `max_delta`.
+record; `diagonal_lattice_witness` returns the `maps.ChoiMap` of a
+sigma-diagonal map, a witness whose Choi matrix is nonnegative on product
+vectors for delta <= `max_delta`.
 `max_delta` is the closed form `lattice.exact_delta` plus one see-saw
 re-check.
 """
@@ -12,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice, linalg, maps, states
-
-
-class NonSquareParties(ValueError):
-    pass
-
-
-class PointNotInSubset(ValueError):
-    pass
+from .states import PointNotInSubset  # re-exported
 
 
 class DeltaViolated(RuntimeError):
@@ -36,16 +30,6 @@ class CriterionVerdict:
     evidence: float
 
 
-@dataclass
-class Witness:
-    """Hermitian witness matrix with its bipartite dims, stored
-    unnormalized (the detection predicate sign(Tr(W rho)) is
-    scale-invariant)."""
-
-    mat: np.ndarray
-    dims: tuple
-
-
 def ppt_check(rho: states.DensityMatrix) -> CriterionVerdict:
     """Partial-transposition test: detected iff PT over the second party
     has an eigenvalue below -1e-9."""
@@ -56,9 +40,8 @@ def ppt_check(rho: states.DensityMatrix) -> CriterionVerdict:
 
 def realignment_check(rho: states.DensityMatrix) -> CriterionVerdict:
     """Realignment (CCNR) test: detected iff the trace norm of the
-    reshuffled matrix exceeds 1.  Square party dimensions only."""
-    if rho.dims[0] != rho.dims[1]:
-        raise NonSquareParties(f"party dims differ: {rho.dims}")
+    reshuffled matrix exceeds 1.  Square party dimensions only
+    (`linalg.reshuffle` raises `linalg.DimMismatch` otherwise)."""
     norm = linalg.trace_norm(linalg.reshuffle(rho.mat, rho.dims))
     return CriterionVerdict("realignment", norm > 1 + 1e-9, norm)
 
@@ -76,40 +59,34 @@ def reduction_check(rho: states.DensityMatrix) -> CriterionVerdict:
     return CriterionVerdict("reduction", low < -1e-9, low)
 
 
-def witness_value(W: Witness, rho: states.DensityMatrix) -> float:
-    """Tr(W rho); negative values certify entanglement."""
-    if W.dims != rho.dims or W.mat.shape != rho.mat.shape:
-        raise linalg.DimMismatch(f"witness dims {W.dims} vs state dims {rho.dims}")
-    val = np.trace(W.mat @ rho.mat)
+def witness_value(W: maps.ChoiMap, rho: states.DensityMatrix) -> float:
+    """Tr(W.choi rho); negative values certify entanglement."""
+    dims = (W.in_dim, W.out_dim)
+    if dims != rho.dims or W.choi.shape != rho.mat.shape:
+        raise linalg.DimMismatch(f"witness dims {dims} vs state dims {rho.dims}")
+    val = np.trace(W.choi @ rho.mat)
     if abs(val.imag) > 1e-12:
         raise linalg.NotHermitian("witness expectation is not real")
     return float(val.real)
 
 
-def _check_point(I: int, p) -> None:
-    states.check_mask(I)
-    if tuple(p) not in states.mask_points(I):  # a JSON point is a list
-        raise PointNotInSubset(f"{p} not in subset {I:#06x}")
-
-
-def diagonal_lattice_witness(I: int, p, delta: float) -> Witness:
-    """Witness for the lattice state on subset `I` (16-bit mask): the Choi
-    matrix of the diagonal map with coefficient 1/4 off I, -delta/4 at the
+def diagonal_lattice_witness(I: int, p, delta: float) -> maps.ChoiMap:
+    """Witness for the lattice state on subset `I` (16-bit mask): the
+    `ChoiMap` of the diagonal map with coefficient 1/4 off I, -delta/4 at the
     point `p` in I, and 0 elsewhere.  Tr(W rho_I) = -delta/(4 N_I)."""
-    _check_point(I, p)
+    b = states.point_in(I, p)
     if not abs(delta) < np.inf:  # NaN fails this too
         raise maps.BadParameter(f"delta must be finite, got {delta}")
     coeffs = 0.25 * (1.0 - states.lattice_indicator(I))
-    coeffs[states.point_bit(p)] -= delta / 4.0
-    choi = maps.choi_of_diag(coeffs)
-    return Witness(choi.choi, (4, 4))
+    coeffs[b] -= delta / 4.0
+    return maps.choi_of_diag(coeffs)
 
 
-def _delta_choi(I: int, p, delta: float) -> maps.ChoiMap:
+def _delta_choi(I: int, b: int, delta: float) -> maps.ChoiMap:
     # Choi whose product expectation equals the block-positivity margin:
-    # coefficient 1 on I plus an extra delta at p.
+    # coefficient 1 on I plus an extra delta at bit b.
     coeffs = states.lattice_indicator(I)
-    coeffs[states.point_bit(p)] += delta
+    coeffs[b] += delta
     return maps.choi_of_diag(coeffs)
 
 
@@ -119,8 +96,8 @@ def delta_violation(I: int, p, delta: float, restarts: int = 64, seed: int = 0xC
     The witness from `diagonal_lattice_witness(I, p, delta)` is block
     positive iff this never exceeds 1; values above 1 are sound
     counterexamples, values at or below 1 are heuristic."""
-    _check_point(I, p)
-    return maps.seesaw_extremum(_delta_choi(I, p, delta), restarts=restarts, seed=seed, minimize=False)
+    b = states.point_in(I, p)
+    return maps.seesaw_extremum(_delta_choi(I, b, delta), restarts=restarts, seed=seed, minimize=False)
 
 
 def max_delta(I: int, p, seed: int = 0xC0FFEE, restarts: int = 64) -> float:

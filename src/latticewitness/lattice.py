@@ -109,17 +109,11 @@ def exact_delta(I: int, p) -> float:
     delta*; at delta* the witness is block positive, by the ovoid
     identity or by an explicit decomposition (both proved for every
     point in tests/test_criteria.py)."""
-    criteria._check_point(I, p)
-    return _delta_at(I, point_bit(p))
+    return _delta_at(I, states.point_in(I, p))
 
 
 def _delta_at(I: int, b: int) -> float:  # exact_delta at bit b of I, unchecked
     return 4.0 - max((q & I).bit_count() for q in _QUADS_THROUGH[b])
-
-
-def is_special(points) -> bool:
-    """True iff the points form one of the 60 special quadruples."""
-    return states.points_mask(points) in _QUAD_TRANSLATE
 
 
 # Per bit b = 4*beta + alpha, as uint16 columns: the bit itself, its

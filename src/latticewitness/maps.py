@@ -41,11 +41,6 @@ class ChoiMap:
     out_dim: int
 
 
-@dataclass(eq=False)
-class KrausSet:
-    terms: list  # of (coefficient: float, operator: ndarray)
-
-
 def _diag_coeffs(coeffs) -> np.ndarray:  # the 16 coefficients of a sigma-diagonal map
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (16,):
@@ -56,18 +51,6 @@ def _diag_coeffs(coeffs) -> np.ndarray:  # the 16 coefficients of a sigma-diagon
 def choi_of_diag(coeffs) -> ChoiMap:
     """Choi matrix sum_w lambda_w P_w of the sigma-diagonal map lambda."""
     return ChoiMap(states._projector_sum(_diag_coeffs(coeffs)), 4, 4)
-
-
-def choi_of_kraus(k: KrausSet, in_dim: int) -> ChoiMap:
-    """Choi matrix of X -> sum_i c_i K_i X K_i^dag."""
-    out_dim = k.terms[0][1].shape[0]
-    plus = states.max_symmetric_vector(in_dim)
-    P = np.outer(plus, plus.conj())
-    C = np.zeros((in_dim * out_dim, in_dim * out_dim), dtype=complex)
-    for c, K in k.terms:
-        op = np.kron(np.eye(in_dim), np.asarray(K, dtype=complex))
-        C += c * (op @ P @ op.conj().T)
-    return ChoiMap(C, in_dim, out_dim)
 
 
 def extend_apply(m: ChoiMap, rho: states.DensityMatrix) -> np.ndarray:
@@ -243,8 +226,8 @@ def phi_v_map(v_col, v_row) -> ChoiMap:
         raise BadParameter("V must have operator norm at most 1")
     tr = choi_of_diag(trace_map()).choi
     tp = choi_of_diag(transposition_map()).choi
-    sand = choi_of_kraus(KrausSet([(1.0, V.conj().T)]), 4).choi
-    return ChoiMap(tr - tp - sand, 4, 4)
+    w = np.kron(np.eye(4), V.conj().T) @ states.max_symmetric_vector(4)  # X -> V^dag X V has Choi |w><w|
+    return ChoiMap(tr - tp - np.outer(w, w.conj()), 4, 4)
 
 
 def stormer_cp_part(coeffs, mu: float):

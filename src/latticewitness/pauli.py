@@ -25,11 +25,6 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-# sigma_a sigma_m = PRODUCT_PHASE[a][m] * sigma_{a ^ m}; the phase is
-# tr(sigma_a sigma_m sigma_{a^m}) / 2, as sigma_{a^m} squares to 1
-PRODUCT_PHASE = tuple(tuple(complex(np.trace(SIGMA[a] @ SIGMA[m] @ SIGMA[a ^ m])) / 2 for m in range(4))
-                      for a in range(4))
-
 
 def check_index(a) -> int:  # an index that is not an integer (1.5, 1.0) raises TypeError
     a = index(a)
@@ -41,12 +36,6 @@ def check_index(a) -> int:  # an index that is not an integer (1.5, 1.0) raises 
 def check_point(p) -> LatticePoint:  # (alpha, beta), both checked by check_index
     a, b = p
     return check_index(a), check_index(b)
-
-
-def pauli_product(a: int, m: int) -> tuple[int, complex]:
-    """Index and phase of sigma_a sigma_m."""
-    a, m = check_index(a), check_index(m)
-    return a ^ m, PRODUCT_PHASE[a][m]
 
 
 def commute_sign(a: int, g: int) -> int:

@@ -35,6 +35,10 @@ class EmptySubset(ValueError):
     pass
 
 
+class PointNotInSubset(ValueError):
+    pass
+
+
 class NotOrthonormal(ValueError):
     pass
 
@@ -127,6 +131,20 @@ def check_mask(mask: int) -> int:
             raise EmptySubset("empty lattice subset")
         raise OutOfRange(f"subset mask {mask:#x} outside 0x0001..0xffff")
     return mask
+
+
+def point_in(mask: int, p) -> int:
+    """Bit of the point p of the subset `mask`, checked by `check_mask`; a
+    coordinate that is not an integer raises TypeError, and a point off the
+    lattice or outside the subset PointNotInSubset."""
+    mask = check_mask(mask)
+    try:
+        b = point_bit(p)
+    except ValueError:  # (5, 0), (-1, 0) or three coordinates
+        raise PointNotInSubset(f"{p} is not a lattice point") from None
+    if not mask >> b & 1:
+        raise PointNotInSubset(f"{p} not in subset {mask:#06x}")
+    return b
 
 
 def lattice_indicator(mask: int) -> np.ndarray:

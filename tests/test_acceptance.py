@@ -162,9 +162,9 @@ def test_09_witness_arithmetic(capsys):
         except criteria.DeltaViolated as exc:
             bad.append(f"{I:#06x} {points[b]}: block positivity violated ({exc})")
             continue
-        C = criteria._delta_choi(I, points[b], delta).choi
+        C = criteria._delta_choi(I, b, delta).choi
         for name, (V, g) in reference.affine_generators().items():
-            gC = criteria._delta_choi(reference.mask_images(g)[I], points[g[b]], delta).choi
+            gC = criteria._delta_choi(reference.mask_images(g)[I], g[b], delta).choi
             if not np.allclose(V @ C @ V.conj().T, gC, rtol=0, atol=1e-12):
                 bad.append(f"{I:#06x} {points[b]}: {name} does not conjugate C onto its image")
     bad += [f"{I:#06x} {points[b]}: exact delta differs from its orbit's"

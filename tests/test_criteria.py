@@ -93,15 +93,15 @@ def test_realignment_on_lattice_states():
 
 
 def test_realignment_rejects_non_square_parties():
-    with pytest.raises(criteria.NonSquareParties):
+    with pytest.raises(linalg.DimMismatch):
         criteria.realignment_check(states.horodecki_2x4(0.5))
 
 
 def test_witness_value_identity_and_dim_check():
     rho = states.lattice_state(0x00FF)
-    assert abs(criteria.witness_value(criteria.Witness(np.eye(16), (4, 4)), rho) - 1) < 1e-12
+    assert abs(criteria.witness_value(maps.ChoiMap(np.eye(16), 4, 4), rho) - 1) < 1e-12
     with pytest.raises(linalg.DimMismatch):
-        criteria.witness_value(criteria.Witness(np.eye(4), (2, 2)), rho)
+        criteria.witness_value(maps.ChoiMap(np.eye(4), 2, 2), rho)
 
 
 def test_diagonal_lattice_witness_bookkeeping():
@@ -179,8 +179,8 @@ def test_max_delta_is_exact_on_every_point(monkeypatch):
     for I, p in ((0xF587, (3, 3)), (0x1FEE, (0, 2)), (0x8421, (2, 2))):
         J = lattice.translate_mask(p, I)
         U = np.kron(np.eye(4), pauli.word_matrix(p))
-        C_ip = criteria._delta_choi(I, p, 1.5).choi
-        C_j0 = criteria._delta_choi(J, (0, 0), 1.5).choi
+        C_ip = criteria._delta_choi(I, states.point_bit(p), 1.5).choi
+        C_j0 = criteria._delta_choi(J, 0, 1.5).choi
         assert np.allclose(C_ip, U @ C_j0 @ U.conj().T, atol=1e-14)
 
     # upper bound: for each quadruple Q = t + L (L Lagrangian), the joint
@@ -192,7 +192,7 @@ def test_max_delta_is_exact_on_every_point(monkeypatch):
         t = q[0]
         gens = [pauli.tau(t, w) for w in q[1:3]]
         _, A = np.linalg.eigh(pauli.word_matrix(gens[0]) + 2 * pauli.word_matrix(gens[1]))
-        choi = criteria._delta_choi(qmask, t, 0.5)
+        choi = criteria._delta_choi(qmask, states.point_bit(t), 0.5)
         for a in A.T:
             b = pauli.word_matrix(t) @ a
             overlaps = np.abs(psi.conj() @ np.kron(a.conj(), b)) ** 2
@@ -272,16 +272,17 @@ def test_max_delta_rejects_points_outside_the_subset():
     with pytest.raises(criteria.PointNotInSubset):
         criteria.max_delta(0x0001, (1, 1))
     # off-lattice points: (5, 0) must not alias bit 5, (-1, 0) must not
-    # reach a negative shift
-    for p in ((5, 0), (-1, 0)):
-        with pytest.raises(criteria.PointNotInSubset):
-            criteria.max_delta(0xFFFF, p)
-        with pytest.raises(criteria.PointNotInSubset):
-            criteria.diagonal_lattice_witness(0xFFFF, p, 1.0)
+    # reach a negative shift, and a third coordinate is not ignored
+    calls = (criteria.max_delta, lambda I, p: criteria.diagonal_lattice_witness(I, p, 1.0),
+             lambda I, p: criteria.delta_violation(I, p, 1.0, restarts=1), lattice.exact_delta)
+    for call in calls:
+        for p in ((5, 0), (-1, 0), (0, 0, 0)):
+            with pytest.raises(criteria.PointNotInSubset):
+                call(0xFFFF, p)
+        with pytest.raises(TypeError):  # (1.0, 0) equals (1, 0) but is no lattice point
+            call(0xFFFF, (1.0, 0))
     # masks outside the lattice: -1 and 0x10000 must not pass for 0xFFFF
     # or 0, nor 0x1000F for 0x000F
-    calls = (criteria.max_delta, lambda I, p: criteria.diagonal_lattice_witness(I, p, 1.0),
-             lambda I, p: criteria.delta_violation(I, p, 1.0, restarts=1))
     for call in calls:
         with pytest.raises(states.EmptySubset):
             call(0, (0, 0))

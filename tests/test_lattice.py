@@ -17,7 +17,7 @@ Q00 = [q for q in QUADS if q[0] == (0, 0)]  # the 15 through the origin, sorted
 def test_quadruple_census():
     assert len(QUADS) == len(set(QUADS)) == 60 and len(Q00) == 15
     assert all(type(q) is int and q.bit_count() == 4 for q in lattice.QUAD_MASKS)
-    assert all(len(q) == 4 and lattice.is_special(q) for q in QUADS)
+    assert all(len(q) == 4 and states.points_mask(q) in lattice.QUAD_MASKS for q in QUADS)
     assert all(sum(p in q for q in QUADS) == 15 for p in states.ALL_POINTS)  # 15 through each point
 
 

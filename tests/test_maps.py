@@ -21,16 +21,30 @@ def apply_map(cm, X):  # L[X], as (id x L) on a bipartite state with a 1-dim fir
     return maps.extend_apply(cm, states.DensityMatrix(X, (1, cm.in_dim)))
 
 
+def choi_of_kraus(terms, d):  # Choi map of X -> sum c K X K^dag, by definition sum c (1 x K) P+ (1 x K)^dag
+    plus = states.max_symmetric_vector(d)
+    P, ops = np.outer(plus, plus.conj()), [(c, np.kron(np.eye(d), K)) for c, K in terms]
+    return maps.ChoiMap(sum(c * op @ P @ op.conj().T for c, op in ops), d, len(terms[0][1]))
+
+
 def test_kraus_choi_round_trip_on_200_random_maps():
     rng = np.random.default_rng(0)
     for _ in range(200):
         d = int(rng.integers(2, 5))
         terms = [(float(rng.uniform(0.2, 2.0)), random_matrix(rng, d))
                  for _ in range(int(rng.integers(1, 4)))]
-        cm = maps.choi_of_kraus(maps.KrausSet(terms), d)
         X = random_matrix(rng, d)
         direct = sum(c * (A @ X @ A.conj().T) for c, A in terms)
-        assert np.allclose(apply_map(cm, X), direct, atol=1e-10)
+        assert np.allclose(apply_map(choi_of_kraus(terms, d), X), direct, atol=1e-10)
+    # Phi_V = Tr - T - V^dag . V on the six single-word V and two sums of words
+    e, r = np.eye(4), np.sqrt(0.5)
+    vs = [(e[a], 0 * e[a]) for a in (0, 1, 3)] + [(0 * e[a], e[a]) for a in (0, 1, 3)]
+    for v_col, v_row in vs + [([0, r, 0, r], [0, 0, 0, 0]), ([0, 0.6, 0, 0], [0, 0, 0, 0.8j])]:
+        V = sum(c * pauli.word_matrix((a, 2)) + v * pauli.word_matrix((2, a))
+                for a, c, v in zip(range(4), v_col, v_row) if a != 2)
+        X = random_matrix(rng, 4)
+        direct = np.trace(X) * np.eye(4) - X.T - V.conj().T @ X @ V
+        assert np.allclose(apply_map(maps.phi_v_map(v_col, v_row), X), direct, atol=1e-10)
 
 
 def test_choi_of_diag_spectrum_is_the_coefficient_multiset():
@@ -226,7 +240,7 @@ def _start_vector(seed, i, d):
 
 
 def test_seesaw_start_vectors_are_drawn_once_and_left_unchanged():
-    cm = criteria._delta_choi(0xf587, (3, 3), 1.5)
+    cm = criteria._delta_choi(0xf587, states.point_bit((3, 3)), 1.5)
     first = maps.seesaw_extremum(cm, restarts=64, seed=5, minimize=False)
     second = maps.seesaw_extremum(cm, restarts=64, seed=5, minimize=False)
     assert first[0] == second[0]
@@ -315,14 +329,13 @@ def _seesaw_reference(cm, restarts, seed, minimize):
 
 def test_batched_seesaw_matches_the_per_restart_loop(monkeypatch):
     rng = np.random.default_rng(9)
-    kraus = maps.KrausSet([(c, rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
-                           for c in (1.0, 0.5)])
-    capped = criteria._delta_choi(0x1276, (0, 1), 1.0)  # restart 0 runs 500 steps
+    kraus = [(c, rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))) for c in (1.0, 0.5)]
+    capped = criteria._delta_choi(0x1276, states.point_bit((0, 1)), 1.0)  # restart 0 runs 500 steps
     cases = [
         (capped, False),
-        (criteria._delta_choi(0xf587, (3, 3), 1.5), False),
+        (criteria._delta_choi(0xf587, states.point_bit((3, 3)), 1.5), False),
         (maps.reduction_map(3), True),
-        (maps.choi_of_kraus(kraus, 2), True),  # M_2 -> M_4
+        (choi_of_kraus(kraus, 2), True),  # M_2 -> M_4
     ]
     for cm, minimize in cases:
         for restarts in (1, 64):

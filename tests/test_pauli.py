@@ -15,19 +15,6 @@ def test_single_qubit_matrices():
         assert np.array_equal(pauli.SIGMA[a], SIGMAS[a])
 
 
-def test_product_table_against_matrix_products():
-    for a in range(4):
-        for m in range(4):
-            idx, phase = pauli.pauli_product(a, m)
-            assert np.allclose(SIGMAS[a] @ SIGMAS[m], phase * SIGMAS[idx])
-
-
-def test_product_index_is_xor():
-    for a in range(4):
-        for m in range(4):
-            assert pauli.pauli_product(a, m)[0] == a ^ m
-
-
 def test_commute_sign_matches_matrix_commutators():
     for a in range(4):
         for g in range(4):
@@ -35,12 +22,6 @@ def test_commute_sign_matches_matrix_commutators():
             ba = SIGMAS[g] @ SIGMAS[a]
             expected = 1 if np.allclose(ab, ba) else -1
             assert pauli.commute_sign(a, g) == expected
-
-
-def test_phases_are_unit_modulus():
-    for a in range(4):
-        for m in range(4):
-            assert abs(abs(pauli.pauli_product(a, m)[1]) - 1) < 1e-15
 
 
 def test_word_matrix_tensor_structure():
@@ -67,13 +48,11 @@ def test_tau_is_involutive_translation():
 
 def test_tau_rejects_points_off_the_lattice():
     # (4, 0) used to raise a bare IndexError from the product table, and
-    # -1 read as sigma_z: pauli_product(-1, 1) gave (2, 1j) and
-    # words_commute((-1, 0), (1, 0)) gave False
+    # -1 read as sigma_z: words_commute((-1, 0), (1, 0)) gave False
     for bad in ((4, 0), (0, 4), (-1, 0), (0, -1)):
         for call in (lambda: pauli.tau(bad, (1, 1)), lambda: pauli.tau((1, 1), bad),
                      lambda: pauli.words_commute(bad, (1, 0)), lambda: pauli.words_commute((1, 0), bad),
-                     lambda: pauli.word_matrix(bad),
-                     lambda: pauli.pauli_product(*bad), lambda: pauli.commute_sign(*bad)):
+                     lambda: pauli.word_matrix(bad), lambda: pauli.commute_sign(*bad)):
             with pytest.raises(ValueError, match="Pauli index out of range"):
                 call()
 

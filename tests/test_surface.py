@@ -16,7 +16,6 @@ KEEP = {
     "criteria.diagonal_lattice_witness": "the thesis's lattice witness; Tr(W rho_I) = -delta/(4N) is tested",
     "criteria.max_delta": "the witness strength delta*; named in BENCHMARK.json",
     "criteria.witness_value": "Tr(W rho), the detection predicate of every witness test",
-    "lattice.is_special": "counted by name in perfbench/tracer.py",
     "lattice.survey_all": "named in BENCHMARK.json; perfbench/derive.py calls it with workers=",
     "lattice.translate_mask": "named in BENCHMARK.json; translation invariance is tested",
     "maps.extend_apply": "(id x L) rho, the action of a map on a bipartite state",
@@ -26,7 +25,6 @@ KEEP = {
     "maps.product_expectation": "re-checks a see-saw value from its product vectors",
     "maps.reduction_map": "thesis claim: the reduction map is positive but not CP",
     "maps.stormer_cp_part": "thesis claim: the Stormer split of the transposition",
-    "pauli.pauli_product": "counted by name in perfbench/tracer.py",
     "pauli.tau": "the lattice translation; named in BENCHMARK.json",
     "states.assert_density": "checks that each named state is a density matrix",
     "states.sigma_diagonal_state": "the sigma-diagonal states sum_w r_w P_w; exported by the package",
