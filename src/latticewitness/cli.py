@@ -168,11 +168,11 @@ def cmd_classify(args) -> int:
     else:
         mask = _parse_mask(args.mask)
     cls = lattice.classify(mask)
-    rec = report_record(lattice.SurveyRecord(mask, lattice.popcount(mask), cls))
+    rec = report_record(lattice.SurveyRecord(mask, mask.bit_count(), cls))
     if args.json:
         print(json.dumps(rec))
         return 0
-    print(f"mask: {mask:#06x}   n_points: {lattice.popcount(mask)}")
+    print(f"mask: {mask:#06x}   n_points: {rec['n_points']}")
     print(render_pattern(mask))
     print(f"classification: {cls.tag}")
     if cls.criteria_fired:

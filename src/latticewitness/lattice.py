@@ -48,10 +48,6 @@ def _check_bits(mask: int) -> int:  # the mask as a Python int; 0 is allowed
     return mask
 
 
-def popcount(mask: int) -> int:
-    return _check_bits(mask).bit_count()
-
-
 # Per bit k of a point index: the swap of adjacent k-bit blocks, as
 # (k, mask of the low block of each pair).
 _BLOCK_SWAPS = ((1, 0x5555), (2, 0x3333), (4, 0x0F0F), (8, 0x00FF))

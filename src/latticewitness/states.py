@@ -80,16 +80,12 @@ def point_bit(p) -> int:  # a point off the lattice raises ValueError
     return 4 * b + a
 
 
-def _basis_vectors() -> np.ndarray:
-    """Rows (1 x sigma_w)|max symmetric> for the 16 words in bit order."""
-    plus = max_symmetric_vector(4)
-    return np.array([np.kron(np.eye(4), pauli.word_matrix(w)) @ plus for w in ALL_POINTS])
-
-
 @lru_cache(maxsize=None)  # built on first use, then shared by every caller
 def _basis_projectors() -> np.ndarray:
-    """Array of the 16 rank-1 projectors (1 x sigma_w) P+ (1 x sigma_w)."""
-    B = _basis_vectors()
+    """Array of the 16 rank-1 projectors (1 x sigma_w) P+ (1 x sigma_w),
+    in bit order."""
+    plus = max_symmetric_vector(4)
+    B = np.array([np.kron(np.eye(4), pauli.word_matrix(w)) @ plus for w in ALL_POINTS])
     return B[:, :, None] * B.conj()[:, None, :]
 
 

@@ -126,6 +126,14 @@ def special_quadruples() -> tuple:
 
 
 @cache
+def least_translates() -> tuple:
+    """Per mask, the first least of its 16 translates and that
+    translation's index in ALL_POINTS order: (least, first)."""
+    imgs = np.array([mask_images(tuple(b ^ s for b in range(16))) for s in range(16)])
+    return imgs.min(0).tolist(), imgs.argmin(0).tolist()
+
+
+@cache
 def covered_bits() -> list:
     """Per mask, the union of the special quadruples inside it."""
     covered = np.zeros(1 << 16, dtype=np.int64)

@@ -117,7 +117,7 @@ def test_05_coverings(capsys):
 
 def test_06_large_subsets_separable(capsys):
     t0 = time.perf_counter()
-    masks = [m for m in range(1, 1 << 16) if lattice.popcount(m) >= 14]
+    masks = [m for m in range(1, 1 << 16) if m.bit_count() >= 14]
     tags = [lattice.classify(m).tag for m in masks]
     dt = time.perf_counter() - t0
     ok = len(masks) == 137 and all(t == "Separable" for t in tags) and dt < 30

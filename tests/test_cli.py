@@ -24,7 +24,7 @@ def test_pattern_round_trip_all_masks():
 def test_parse_pattern_accepts_token_variants():
     text = "x X . .\n× . . .\n. . . .\n. . . x"
     mask = cli.parse_pattern(text)
-    assert lattice.popcount(mask) == 4
+    assert mask.bit_count() == 4
     assert mask >> states.point_bit((0, 3)) & 1  # top-left is beta=3
 
 
@@ -93,15 +93,6 @@ def test_classify_json_witness_rechecks_at_its_special_point(capsys):
     W = criteria.diagonal_lattice_witness(mask, p, delta)
     value = criteria.witness_value(W, states.lattice_state(mask))
     assert abs(value + delta / (4 * rec["n_points"])) < 1e-12
-
-
-def test_classify_human_output(capsys):
-    mask = cli.example_mask("cover-10")
-    assert cli.main(["classify", "--mask", f"{mask:#06x}"]) == 0
-    out = capsys.readouterr().out
-    assert "classification: Separable" in out
-    assert "uniform covering" in out
-    assert out.startswith(f"mask: {mask:#06x}   n_points: 10\n")
 
 
 # `lw classify --mask` text output, byte for byte: one mask of each tag
@@ -340,7 +331,7 @@ def test_csv_row_is_what_csv_writer_writes():
     # all reach
     for mask in (0x0001, 0x0033, 0x0077, 0x0777, 0x0359, 0x12CF):
         for check in (None, True, False):
-            rec = lattice.SurveyRecord(mask, lattice.popcount(mask), lattice.classify(mask))
+            rec = lattice.SurveyRecord(mask, mask.bit_count(), lattice.classify(mask))
             rec.cross_check_ok = check
             row = cli.report_record(rec)
             cells = [json.dumps(row[key]) if key in ("special_point", "one_point", "k_pair", "certificate")
@@ -361,7 +352,7 @@ def test_survey_cross_validation_mismatch_exits_3_after_the_report(tmp_path, cap
     def survey(cross_validate):
         assert cross_validate
         for mask in (0x0001, 0x000F, 0x0033):
-            rec = lattice.SurveyRecord(mask, lattice.popcount(mask), lattice.classify(mask))
+            rec = lattice.SurveyRecord(mask, mask.bit_count(), lattice.classify(mask))
             rec.cross_check_ok = mask != 0x000F
             yield rec
 

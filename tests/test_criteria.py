@@ -73,14 +73,6 @@ def test_detectors_on_named_states():
     assert abs(criteria.realignment_check(prod).evidence - 1) < 1e-10
 
 
-def test_werner_sweep_detection_boundary():
-    alphas = np.arange(-1 / 3, 1.0 + 1e-9, 0.05)
-    for a in alphas:
-        det = criteria.ppt_check(states.werner_state(float(a))).detected
-        if abs(a - 1 / 3) > 0.05:
-            assert det == (a > 1 / 3)
-
-
 def test_realignment_on_lattice_states():
     # separable rank-4 quadruple states sit exactly at the threshold;
     # some PPT lattice states land strictly above it (e.g. 0x036a)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import reference
 
-from latticewitness import cli, criteria, lattice, linalg, pauli, states
+from latticewitness import cli, lattice, pauli, states
 
 QUADS = [tuple(sorted(states.mask_points(q))) for q in lattice.QUAD_MASKS]  # as sorted point tuples
 Q00 = [q for q in QUADS if q[0] == (0, 0)]  # the 15 through the origin, sorted
@@ -34,12 +34,6 @@ def test_quadruples_are_the_translates_of_the_commuting_planes():
     assert Q00 == sorted(tuple(sorted(reference.POINTS[b] for b in q)) for q in commuting)
 
 
-def test_q00_quadruples_pairwise_commute():
-    # the words of a special quadruple through the origin commute pairwise
-    for q in Q00:
-        assert all(pauli.words_commute(v, w) for v, w in itertools.combinations(q, 2))
-
-
 def test_nonzero_word_commutant_structure():
     # every nonzero two-qudit word commutes with exactly 6 other nonzero
     # words and lies in exactly 3 origin quadruples
@@ -56,16 +50,6 @@ def test_quadruple_states_separable_and_ppt():
         cls = lattice.classify(mask)
         assert cls.tag == "Separable"
         assert cls.covering.multiplicity == 1
-
-
-def test_combinatorial_ppt_matches_numeric_sample():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        mask = int(rng.integers(1, 1 << 16))
-        comb = lattice.ppt_combinatorial(mask)
-        assert comb == (lattice.pt_min_eig(mask) >= -1e-9)
-        if not comb:
-            assert abs(lattice.classify(mask).min_pt_eig - lattice.pt_min_eig(mask)) < 1e-12
 
 
 def test_ppt_empty_subset_raises():
@@ -86,57 +70,11 @@ def test_criteria_require_ppt():
         lattice.k_criterion(npt_mask)
 
 
-def test_exhaustive_criteria_implications():
-    # on every PPT mask the one-point criterion implies the k-criterion,
-    # and a special-subset point exists exactly when the k-criterion
-    # fires; on every mask the special-subset flag is absent exactly when
-    # the quadruples inside I cover I (the union of tests/reference.py)
-    covered = reference.covered_bits()
-    n_ppt = 0
-    for mask in range(1, 1 << 16):
-        if lattice.ppt_combinatorial(mask):
-            n_ppt += 1
-            if lattice.entangled_one_point(mask) is not None:
-                assert lattice.k_criterion(mask) is not None
-            assert (lattice.special_subset_point(mask) is None) == (lattice.k_criterion(mask) is None)
-        sp = lattice.special_subset_point(mask)
-        assert (sp is None) == (covered[mask] == mask)
-        if sp is not None:
-            assert (mask & ~covered[mask]) >> states.point_bit(sp) & 1
-    assert n_ppt == 11423
-
-
-def test_one_point_examples():
-    for name in ("one-point-6", "one-point-8"):
-        mask = cli.example_mask(name)
-        assert lattice.entangled_one_point(mask) == (0, 0)
-        assert lattice.pt_min_eig(mask) > -1e-9  # PPT yet entangled
-
-
-def test_k_criterion_examples():
-    mask10 = cli.example_mask("k-10")
-    assert lattice.entangled_one_point(mask10) is None
-    assert lattice.k_criterion(mask10) == (0, 0)
-    mask11 = cli.example_mask("k-11")
-    assert lattice.k_criterion(mask11) is not None
-
-
-def test_special_subset_examples():
-    # the 8-point grid: faithfully computed values (the state is NPT with
-    # special point (2,2); see the one Q00 quadruple it contains)
-    mask8 = cli.example_mask("special-8")
-    assert lattice.special_subset_point(mask8) == (2, 2)
-    assert lattice.special_subset_point(cli.example_mask("special-10")) == (3, 3)
-    assert lattice.special_subset_point(cli.example_mask("special-11")) == (0, 0)
-
-
 def test_covering_examples():
-    cov = lattice.uniform_covering(cli.example_mask("cover-10"))
-    assert cov.multiplicity == 2 and cov.total_weight == 5
-    cov = lattice.uniform_covering(cli.example_mask("cover-8"))
-    assert cov.multiplicity == 2 and cov.total_weight == 4
-    cov9 = lattice.uniform_covering(cli.example_mask("cover-9"))
-    assert cov9.multiplicity == 4 and cov9.total_weight == 9
+    # each example's least multiplicity M and total weight N_Q
+    for name, M, n_q in (("cover-10", 2, 5), ("cover-8", 2, 4), ("cover-9", 4, 9), ("open-11", 4, 11)):
+        cov = lattice.uniform_covering(cli.example_mask(name))
+        assert (cov.multiplicity, cov.total_weight) == (M, n_q)
 
 
 def test_certificate_verifies():
@@ -234,11 +172,9 @@ def test_masks_outside_the_lattice_are_out_of_range():
         for fn in entry_points:
             with pytest.raises(states.OutOfRange, match="outside 0x0001..0xffff"):
                 fn(mask)
-        # the bit helpers also take the empty mask
-        for fn in (lattice.popcount, lambda m: lattice.translate_mask((1, 0), m)):
-            with pytest.raises(states.OutOfRange, match="outside 0x0000..0xffff"):
-                fn(mask)
-    assert lattice.popcount(0) == 0
+        # the bit helper also takes the empty mask
+        with pytest.raises(states.OutOfRange, match="outside 0x0000..0xffff"):
+            lattice.translate_mask((1, 0), mask)
     assert lattice.translate_mask((1, 0), 0) == 0
 
 
@@ -253,8 +189,6 @@ def test_translate_mask_rejects_points_off_the_lattice():
 
 
 def test_bit_helpers_match_their_definitions():
-    for mask in range(1 << 16):
-        assert lattice.popcount(mask) == bin(mask).count("1")
     for t in states.ALL_POINTS:  # the reference image moves each bit b to b ^ point_bit(t)
         images = reference.mask_images(tuple(b ^ states.point_bit(t) for b in range(16)))
         for mask in range(1, 1 << 16):
@@ -263,38 +197,51 @@ def test_bit_helpers_match_their_definitions():
 
 def test_cross_counts_match_a_recount_from_points():
     # the criteria kernel, on all masks at once, against the recount of
-    # tests/reference.py on every mask.  The single-mask row is cached for
-    # the last mask asked: each mask is asked after another one, again from
-    # the cache, and after the next one, so a stale entry would show.
+    # tests/reference.py; then every mask's cached row, asked after another
+    # mask's so that a stale entry would show, and each public criterion
+    # read from that row (the one-point and k criteria on PPT masks only)
     ref = reference.criteria_rows()
     masks = range(1, 1 << 16)
     assert list(zip(*lattice._criteria(np.array(masks, dtype=np.uint16)))) == ref[1:]
-    prev = 0xFFFF
     for I in masks:
         assert lattice._criteria_row(I) == ref[I]
-        assert lattice._criteria_row(I) == ref[I]
-        assert lattice._criteria_row(prev) == ref[prev]
-        prev = I
+        n, c, sp, op, kc = ref[I]
+        assert lattice.ppt_combinatorial(I) == (2 * c <= n)
+        assert lattice.special_subset_point(I) == sp
+        if 2 * c <= n:
+            assert lattice.entangled_one_point(I) == op and lattice.k_criterion(I) == kc
 
 
-def test_translation_covariance():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        mask = int(rng.integers(1, 1 << 16))
-        t = states.ALL_POINTS[int(rng.integers(16))]
-        img = lattice.translate_mask(t, mask)
-        assert lattice.popcount(img) == lattice.popcount(mask)
-        assert lattice.translate_mask(t, img) == mask  # involutive
-        assert lattice.ppt_combinatorial(img) == lattice.ppt_combinatorial(mask)
-        assert lattice.classify(img).tag == lattice.classify(mask).tag
+def test_exhaustive_criteria_implications():
+    # on the recount, which the test above ties to every public criterion:
+    # the special point is absent exactly when the quadruples inside I
+    # cover I, and else lies outside their union; on a PPT mask the
+    # one-point criterion implies the k-criterion, and a special point
+    # exists exactly when the k-criterion fires
+    ref, covered = reference.criteria_rows(), reference.covered_bits()
+    n_ppt = 0
+    for I in range(1, 1 << 16):
+        n, c, sp, op, kc = ref[I]
+        assert (sp is None) == (covered[I] == I)
+        assert sp is None or (I & ~covered[I]) >> states.point_bit(sp) & 1
+        if 2 * c <= n:
+            n_ppt += 1
+            assert op is None or kc is not None
+            assert (sp is None) == (kc is None)
+    assert n_ppt == 11423
 
 
 def test_canonical_mask():
     # reference: the first least of the 16 translates, in ALL_POINTS order
-    imgs = np.array([reference.mask_images(tuple(b ^ s for b in range(16))) for s in range(16)])
-    least, first = imgs.min(0).tolist(), imgs.argmin(0).tolist()
+    least, first = reference.least_translates()
     for mask in range(1, 1 << 16):
         assert lattice.canonical_mask(mask) == (least[mask], states.ALL_POINTS[first[mask]])
+
+
+def test_block_canonical_matches_canonical_mask():
+    # the survey's block form, on all masks at once, against the same reference
+    least, first = reference.least_translates()
+    assert lattice._block_canonical(np.arange(1, 1 << 16, dtype=np.uint16)) == (least[1:], first[1:])
 
 
 def test_quadruple_translate_table():
@@ -303,13 +250,6 @@ def test_quadruple_translate_table():
     for q, imgs in lattice._QUAD_TRANSLATE.items():
         assert imgs == [lattice.translate_mask(t, q) for t in states.ALL_POINTS]
         assert imgs[0] is q and all(id(img) in shared for img in imgs)
-
-
-def test_block_canonical_matches_canonical_mask():
-    masks = list(range(1, 1 << 16))
-    canon, index = lattice._block_canonical(np.array(masks, dtype=np.uint16))
-    for mask, c, s in zip(masks, canon, index):
-        assert lattice.canonical_mask(mask) == (c, states.ALL_POINTS[s])
 
 
 def test_survey_runs_every_covering_search_afresh(monkeypatch):
@@ -345,17 +285,6 @@ def test_classify_consistency_invariants():
             assert rec.reconstruction_error < 1e-10
 
 
-def test_classify_with_witness():
-    mask = cli.example_mask("special-10")
-    cls = lattice.classify(mask)
-    assert cls.tag == "PptEntangled"
-    assert cls.witness_delta == lattice.exact_delta(mask, cls.special_point) == 1.0
-    W = criteria.diagonal_lattice_witness(mask, cls.special_point, cls.witness_delta)
-    rho = states.lattice_state(mask)
-    val = criteria.witness_value(W, rho)
-    assert abs(val + cls.witness_delta / (4 * lattice.popcount(mask))) < 1e-12
-
-
 def test_survey_sample_matches_classify():
     # survey and classify read one criteria kernel; what differs is the
     # dispatch (survey tags NPT masks in its block loop and shares their
@@ -366,7 +295,7 @@ def test_survey_sample_matches_classify():
     # package's own oracle `pt_min_eig`
     for rec in lattice.survey(cross_validate=True):
         assert rec.classification == lattice.classify(rec.mask)
-        assert rec.n_points == lattice.popcount(rec.mask)
+        assert rec.n_points == rec.mask.bit_count()
         assert rec.cross_check_ok
         assert (rec.classification.tag != "NptEntangled") == lattice.ppt_combinatorial(rec.mask)
     assert next(lattice.survey()).cross_check_ok is None
@@ -423,7 +352,7 @@ def test_every_entry_point_reads_numpy_integer_masks():
                       (lattice.canonical_mask, some), (lattice.pt_min_eig, some),
                       (lambda m: states.lattice_state(m).mat.tolist(), some),
                       (lambda m: lattice.exact_delta(m, states.mask_points(m)[-1]), some),
-                      (lattice.popcount, some), (lambda m: lattice.translate_mask((1, 2), m), some)):
+                      (lambda m: lattice.translate_mask((1, 2), m), some)):
         for mask in masks:
             want = fn(mask)
             for typed in (np.int64(mask), np.uint16(mask), np.int32(mask)):

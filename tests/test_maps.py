@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 
 from latticewitness import criteria, linalg, maps, pauli, states
 
@@ -77,7 +78,8 @@ def test_coefficient_matrix_round_trip():
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=16)
     cm = maps.choi_of_diag(coeffs)
-    B = states._basis_vectors()  # rows are <Psi_w|
+    plus = states.max_symmetric_vector(4)
+    B = np.array([np.kron(np.eye(4), s) @ plus for s in reference.word_matrices()])  # rows are <Psi_w|
     C = B.conj() @ cm.choi @ B.T
     assert np.allclose(np.diag(C), coeffs, atol=1e-10)
     assert np.allclose(C - np.diag(np.diag(C)), 0, atol=1e-10)
