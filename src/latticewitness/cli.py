@@ -393,9 +393,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (states.BadWeights, states.OutOfRange, states.OddDim) as exc:
-        print(f"error: bad parameter: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

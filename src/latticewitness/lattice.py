@@ -42,37 +42,25 @@ class NotPpt(ValueError):
     pass
 
 
-def _check_bits(mask: int) -> int:  # the mask as a Python int; 0 is allowed
-    if not 0 <= (mask := index(mask)) <= 0xFFFF:
-        raise states.OutOfRange(f"mask {mask:#x} outside 0x0000..0xffff")
-    return mask
-
-
-# Per bit k of a point index: the swap of adjacent k-bit blocks, as
-# (k, mask of the low block of each pair).
-_BLOCK_SWAPS = ((1, 0x5555), (2, 0x3333), (4, 0x0F0F), (8, 0x00FF))
-
-
 def _translates(m) -> list:
     """The 16 translates of a mask, or of each mask of a uint16 array:
-    image s is the translate by ALL_POINTS[s].  Each block swap doubles
-    the list, so swap k was applied to image s iff bit k of s is set."""
+    image s is the translate by ALL_POINTS[s].  Per bit k of a point
+    index, the swap of adjacent k-bit blocks (lo marks the low block of
+    each pair) doubles the list, so swap k was applied to image s iff
+    bit k of s is set."""
     imgs = [m]
-    for k, lo in _BLOCK_SWAPS:
+    for k, lo in ((1, 0x5555), (2, 0x3333), (4, 0x0F0F), (8, 0x00FF)):
         imgs += [(x & lo) << k | (x >> k) & lo for x in imgs]
     return imgs
 
 
 def translate_mask(t, mask: int) -> int:
     """Image of a subset mask under the lattice translation tau_t, which
-    moves bit i to bit i ^ point_bit(t) (Pauli product indices XOR): one
-    swap of adjacent k-bit blocks per set bit k of point_bit(t)."""
-    mask = _check_bits(mask)
-    s = point_bit(t)
-    for k, lo in _BLOCK_SWAPS:
-        if s & k:
-            mask = (mask & lo) << k | (mask >> k) & lo
-    return mask
+    moves bit i to bit i ^ point_bit(t) (Pauli product indices XOR): image
+    point_bit(t) of `_translates`.  The mask may be 0."""
+    if not 0 <= (mask := index(mask)) <= 0xFFFF:
+        raise states.OutOfRange(f"mask {mask:#x} outside 0x0000..0xffff")
+    return _translates(mask)[point_bit(t)]
 
 
 def _build_quad_masks():

@@ -170,11 +170,13 @@ def trace_map() -> np.ndarray:
     return np.full(16, 0.25)
 
 
+_EPS = (1.0, 1.0, -1.0, 1.0)  # sigma_a^T = eps_a sigma_a
+
+
 def transposition_map() -> np.ndarray:
     """Transposition on M_4: coefficient eps_alpha eps_beta / 4 at word
-    (alpha, beta), eps = (1,1,-1,1)."""
-    eps = np.array([1.0, 1.0, -1.0, 1.0])
-    return np.kron(eps, eps) / 4
+    (alpha, beta)."""
+    return np.kron(_EPS, _EPS) / 4
 
 
 def reduction_map(d: int) -> ChoiMap:
@@ -194,11 +196,10 @@ def gamma_map(t: float) -> np.ndarray:
     a = (1 + 3 * e) / 4
     b = (1 - e) / 4
     cpl = (3 + e) / 4
-    eps = np.array([1.0, 1.0, -1.0, 1.0])
     coeffs = np.zeros(16)
     coeffs[0] = a * cpl  # word (0,0)
     for i in range(1, 4):
-        coeffs[4 * i] = eps[i] * a * b  # words (0,i)
+        coeffs[4 * i] = _EPS[i] * a * b  # words (0,i)
         coeffs[i] = b * cpl  # words (i,0)
     return coeffs
 
@@ -224,10 +225,9 @@ def phi_v_map(v_col, v_row) -> ChoiMap:
         V += v_row[a] * pauli.word_matrix((2, a))
     if np.linalg.norm(V, 2) > 1 + 1e-10:
         raise BadParameter("V must have operator norm at most 1")
-    tr = choi_of_diag(trace_map()).choi
-    tp = choi_of_diag(transposition_map()).choi
+    tr_t = choi_of_diag(trace_map() - transposition_map()).choi
     w = np.kron(np.eye(4), V.conj().T) @ states.max_symmetric_vector(4)  # X -> V^dag X V has Choi |w><w|
-    return ChoiMap(tr - tp - np.outer(w, w.conj()), 4, 4)
+    return ChoiMap(tr_t - np.outer(w, w.conj()), 4, 4)
 
 
 def stormer_cp_part(coeffs, mu: float):

@@ -231,30 +231,28 @@ def even_d_upb(d: int) -> list:
             + [np.kron(stripe(n, m, 0), _ket(d, n)) for m, n in pairs])
 
 
+def _horodecki(p: float, dims, pairs, i: int, j: int) -> DensityMatrix:
+    """p on the diagonal and at each symmetric index pair, the block
+    [[(1+p)/2, x], [x, (1+p)/2]], x = sqrt(1-p^2)/2, at rows and columns
+    i, j, all divided by 1 + p(n-1) for n = d1 d2."""
+    n = dims[0] * dims[1]
+    M = p * np.eye(n)
+    for r, c in pairs:
+        M[r, c] = M[c, r] = p
+    M[i, i] = M[j, j] = (1 + p) / 2
+    M[i, j] = M[j, i] = np.sqrt(1 - p * p) / 2
+    return DensityMatrix(M.astype(complex) / (1 + p * (n - 1)), dims)
+
+
 def horodecki_3x3(a: float) -> DensityMatrix:
     """The 3x3 PPT entangled family, parameter 0 < a < 1."""
     if not 0 < a < 1:
         raise OutOfRange("parameter a must lie strictly between 0 and 1")
-    up = (1 + a) / 2
-    x = np.sqrt(1 - a * a) / 2
-    M = a * np.eye(9)
-    for i, j in ((0, 4), (0, 8), (4, 8)):
-        M[i, j] = M[j, i] = a
-    M[6, 6] = M[8, 8] = up
-    M[6, 8] = M[8, 6] = x
-    return DensityMatrix(M.astype(complex) / (8 * a + 1), (3, 3))
+    return _horodecki(a, (3, 3), ((0, 4), (0, 8), (4, 8)), 6, 8)
 
 
 def horodecki_2x4(b: float) -> DensityMatrix:
     """The 2x4 PPT entangled family, parameter 0 <= b <= 1."""
     if not 0 <= b <= 1:
         raise OutOfRange("parameter b must lie in [0, 1]")
-    up = (1 + b) / 2
-    x = np.sqrt(1 - b * b) / 2
-    M = b * np.eye(8)
-    for i, j in ((0, 5), (1, 6), (2, 7)):
-        M[i, j] = M[j, i] = b
-    M[4, 4] = M[7, 7] = up
-    M[4, 7] = M[7, 4] = x
-    return DensityMatrix(M.astype(complex) / (7 * b + 1), (2, 4))
-
+    return _horodecki(b, (2, 4), ((0, 5), (1, 6), (2, 7)), 4, 7)

@@ -54,11 +54,16 @@ def symplectic_group() -> frozenset:
 
 
 @cache
+def bell_basis() -> np.ndarray:
+    """Row w is Psi_w = (1 x w)|Phi+> for the word w, |Phi+> the
+    maximally entangled vector of two 4-level parties."""
+    return np.array([np.kron(np.eye(4), P) @ (np.eye(4).reshape(16) / 2) for P in word_matrices()])
+
+
+@cache
 def lattice_projectors() -> tuple:
-    """P_w = (1 x w)|Phi+><Phi+|(1 x w)^dag, 16x16, for the 16 words w,
-    |Phi+> the maximally entangled vector of two 4-level parties."""
-    phi = np.eye(4).reshape(16) / 2
-    return tuple(np.outer(v, v.conj()) for v in [np.kron(np.eye(4), P) @ phi for P in word_matrices()])
+    """P_w = |Psi_w><Psi_w| = (1 x w)|Phi+><Phi+|(1 x w)^dag, 16x16."""
+    return tuple(np.outer(v, v.conj()) for v in bell_basis())
 
 
 def induced_bit_map(V):
@@ -126,10 +131,18 @@ def special_quadruples() -> tuple:
 
 
 @cache
+def translate_images() -> np.ndarray:
+    """(16, 0x10000) array: row s holds the image of every mask 0..0xffff
+    under the translation by point s, which moves each bit b to bit b ^ s."""
+    s = np.arange(16)[:, None]
+    return sum((MASKS >> b & 1) << (b ^ s) for b in range(16))
+
+
+@cache
 def least_translates() -> tuple:
     """Per mask, the first least of its 16 translates and that
     translation's index in ALL_POINTS order: (least, first)."""
-    imgs = np.array([mask_images(tuple(b ^ s for b in range(16))) for s in range(16)])
+    imgs = translate_images()
     return imgs.min(0).tolist(), imgs.argmin(0).tolist()
 
 

@@ -122,12 +122,6 @@ def test_diagonal_lattice_witness_rejects_a_delta_that_is_not_finite():
             criteria.diagonal_lattice_witness(0x0001, (0, 0), delta)
 
 
-def test_diagonal_lattice_witness_vanishes_with_delta():
-    W = criteria.diagonal_lattice_witness(0x00FF, (0, 0), 1e-9)
-    got = criteria.witness_value(W, states.lattice_state(0x00FF))
-    assert abs(got) < 1e-9
-
-
 def test_max_delta_zero_when_point_sits_in_a_contained_quadruple():
     mask = lattice.QUAD_MASKS[0]
     assert criteria.max_delta(mask, states.mask_points(mask)[0]) == 0.0

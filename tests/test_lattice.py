@@ -189,10 +189,11 @@ def test_translate_mask_rejects_points_off_the_lattice():
 
 
 def test_bit_helpers_match_their_definitions():
-    for t in states.ALL_POINTS:  # the reference image moves each bit b to b ^ point_bit(t)
-        images = reference.mask_images(tuple(b ^ states.point_bit(t) for b in range(16)))
-        for mask in range(1, 1 << 16):
-            assert lattice.translate_mask(t, mask) == images[mask]
+    # every translate of every mask in the block form, and translate_mask's
+    # int path on every mask by (3, 3), which applies all four block swaps
+    ref = reference.translate_images()
+    assert np.array_equal(lattice._translates(np.arange(1, 1 << 16, dtype=np.uint16)), ref[:, 1:])
+    assert [lattice.translate_mask((3, 3), mask) for mask in range(1 << 16)] == ref[15].tolist()
 
 
 def test_cross_counts_match_a_recount_from_points():
@@ -248,7 +249,7 @@ def test_quadruple_translate_table():
     shared = {id(q) for q in lattice.QUAD_MASKS}
     assert list(lattice._QUAD_TRANSLATE) == lattice.QUAD_MASKS
     for q, imgs in lattice._QUAD_TRANSLATE.items():
-        assert imgs == [lattice.translate_mask(t, q) for t in states.ALL_POINTS]
+        assert imgs == reference.translate_images()[:, q].tolist()
         assert imgs[0] is q and all(id(img) in shared for img in imgs)
 
 

@@ -112,12 +112,3 @@ def test_reshuffle_of_tensor_product_has_rank_one_trace_norm():
 def test_reshuffle_requires_square_parties():
     with pytest.raises(linalg.DimMismatch):
         linalg.reshuffle(np.eye(6), (2, 3))
-
-
-def test_min_eig_and_is_psd():
-    rng = np.random.default_rng(10)
-    M = random_hermitian(rng, 6)
-    psd = M @ M.conj().T
-    assert linalg.min_eig(psd) >= -1e-9
-    assert linalg.min_eig(psd - 2 * np.eye(6) * np.linalg.eigvalsh(psd)[-1]) < -1e-9
-    assert abs(linalg.min_eig(psd) - np.linalg.eigvalsh(psd)[0]) < 1e-8

@@ -3,12 +3,9 @@ reference states, and spectral helpers."""
 
 import numpy as np
 import pytest
+import reference
 
-from latticewitness import linalg, maps, states
-
-
-def basis_projector(w):  # the basis element P_w
-    return states._basis_projectors()[states.point_bit(w)]
+from latticewitness import criteria, linalg, maps, states
 
 
 def schmidt_coefficients(v, d1, d2):  # numpy's SVD as an independent oracle
@@ -16,21 +13,13 @@ def schmidt_coefficients(v, d1, d2):  # numpy's SVD as an independent oracle
 
 
 def test_basis_projectors_are_orthonormal_rank_one():
-    projs = [basis_projector(w) for w in states.ALL_POINTS]
-    for i, P in enumerate(projs):
-        assert abs(np.trace(P) - 1) < 1e-12
-        assert np.allclose(P @ P, P)
-        for Q in projs[i + 1:]:
-            assert abs(np.trace(P @ Q)) < 1e-12
-
-
-def test_sigma_diagonal_state_spectrum_is_the_weight_vector():
-    rng = np.random.default_rng(0)
-    w = rng.random(16)
-    w /= w.sum()
-    rho = states.sigma_diagonal_state(w)
-    states.assert_density(rho)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(rho.mat)), np.sort(w), atol=1e-12)
+    # P_w = |Psi_w><Psi_w| for the orthonormal Bell basis Psi_w of
+    # tests/reference.py, with Psi_(0,0) = max_symmetric_vector(4): so every
+    # sum_w c_w P_w has spectrum c and Tr(P_v P_w) = [v == w], to rounding
+    B = reference.bell_basis()
+    assert np.max(np.abs(B.conj() @ B.T - np.eye(16))) <= 1e-15
+    assert np.max(np.abs(states._basis_projectors() - B[:, :, None] * B.conj()[:, None, :])) <= 1e-15
+    assert np.array_equal(states.max_symmetric_vector(4), B[0])
 
 
 def test_sigma_diagonal_state_rejects_bad_weights():
@@ -44,16 +33,6 @@ def test_sigma_diagonal_state_rejects_bad_weights():
     for bad in ([0.25, np.nan, 0.25, 0.25], [0.25, np.inf, 0.25, 0.25], [0.5, np.inf, -np.inf, 0.5]):
         with pytest.raises(states.BadWeights):
             states.sigma_diagonal_state(bad + [0.0] * 12)
-
-
-def test_lattice_state_is_uniform_on_its_support():
-    mask = 0x0F0F
-    rho = states.lattice_state(mask)
-    states.assert_density(rho)
-    vals = np.sort(np.linalg.eigvalsh(rho.mat))
-    n = bin(mask).count("1")
-    assert np.allclose(vals[-n:], 1.0 / n, atol=1e-12)
-    assert np.allclose(vals[:-n], 0.0, atol=1e-12)
 
 
 def test_lattice_state_rejects_empty_subset():
@@ -73,7 +52,7 @@ def test_lattice_indicator_and_state_match_the_projector_sum():
                 assert ind[4 * beta + alpha] == ((alpha, beta) in points)
         ref = np.zeros((16, 16), dtype=complex)
         for alpha, beta in points:
-            ref += basis_projector((alpha, beta))
+            ref += states._basis_projectors()[states.point_bit((alpha, beta))]
         assert np.array_equal(states.lattice_state(mask).mat, ref / len(points))
 
 
@@ -186,31 +165,45 @@ def test_even_d_upb_rejects_odd_dimension():
         states.even_d_upb(5)
 
 
+def horodecki_definition(p, dims):  # the two families written out entry by entry (P. Horodecki 1997)
+    u, x = (1 + p) / 2, np.sqrt(1 - p * p) / 2
+    if dims == (3, 3):
+        return np.array([[p, 0, 0, 0, p, 0, 0, 0, p],
+                         [0, p, 0, 0, 0, 0, 0, 0, 0],
+                         [0, 0, p, 0, 0, 0, 0, 0, 0],
+                         [0, 0, 0, p, 0, 0, 0, 0, 0],
+                         [p, 0, 0, 0, p, 0, 0, 0, p],
+                         [0, 0, 0, 0, 0, p, 0, 0, 0],
+                         [0, 0, 0, 0, 0, 0, u, 0, x],
+                         [0, 0, 0, 0, 0, 0, 0, p, 0],
+                         [p, 0, 0, 0, p, 0, x, 0, u]]) / (8 * p + 1)
+    return np.array([[p, 0, 0, 0, 0, p, 0, 0],
+                     [0, p, 0, 0, 0, 0, p, 0],
+                     [0, 0, p, 0, 0, 0, 0, p],
+                     [0, 0, 0, p, 0, 0, 0, 0],
+                     [0, 0, 0, 0, u, 0, 0, x],
+                     [p, 0, 0, 0, 0, p, 0, 0],
+                     [0, p, 0, 0, 0, 0, p, 0],
+                     [0, 0, p, 0, x, 0, 0, u]]) / (7 * p + 1)
+
+
+def test_horodecki_families_match_their_definition():
+    for family, dims, params in ((states.horodecki_3x3, (3, 3), (1e-6, 0.1, 1 / 3, 0.5, 0.9)),
+                                 (states.horodecki_2x4, (2, 4), (0.0, 0.1, 1 / 3, 0.5, 0.9, 1.0))):
+        for p in params:
+            rho = family(p)
+            assert rho.dims == dims
+            assert np.max(np.abs(rho.mat - horodecki_definition(p, dims))) <= 1e-15
+
+
 def test_horodecki_families_are_ppt_densities():
+    # the 3x3 family is PPT entangled, and realignment detects it
     for a in (0.1, 0.5, 0.9):
         rho = states.horodecki_3x3(a)
         states.assert_density(rho)
         assert np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (3, 3)))[0] > -1e-10
+        assert criteria.realignment_check(rho).detected
     for b in (0.1, 0.5, 0.9):
         rho = states.horodecki_2x4(b)
         states.assert_density(rho)
         assert np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (2, 4)))[0] > -1e-10
-
-
-def test_max_symmetric_vector_projector_matches_word_zero():
-    v = states.max_symmetric_vector(4)
-    P0 = basis_projector((0, 0))
-    assert np.allclose(np.outer(v, v.conj()), P0)
-
-
-def test_lattice_state_word_expectations_flag_membership():
-    # Tr(rho_I P_w) = 1/N_I on I, 0 off I
-    mask = 0x2D71
-    rho = states.lattice_state(mask)
-    n = bin(mask).count("1")
-    for alpha in range(4):
-        for beta in range(4):
-            P = basis_projector((alpha, beta))
-            val = np.real(np.trace(rho.mat @ P))
-            expected = 1.0 / n if mask >> (4 * beta + alpha) & 1 else 0.0
-            assert abs(val - expected) < 1e-12
