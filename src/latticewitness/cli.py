@@ -3,8 +3,8 @@ verify the worked examples, and run the numeric detectors on named states.
 
 JSON output (`lw classify --json`, `lw survey --format jsonl`) is
 `report_record` through `json.dumps`.  A CSV survey row holds the same
-cells, built from small text tables of the JSON of every point and
-covering item, exactly as csv.writer would write that record.
+cells, exactly as csv.writer would write that record, built from text
+tables of the JSON of points and covering items, a block of masks at a time.
 
 Exit codes: 0 success, 2 parse/usage error, 3 verification failure,
 4 I/O error.
@@ -14,6 +14,9 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
+from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -51,6 +54,7 @@ def parse_pattern(text: str) -> int:
 # report pattern of each 8-bit half of a mask: its high row, "/", its low row.
 _ROW_TEXT = [" ".join("x" if r >> alpha & 1 else "." for alpha in range(4)) for r in range(16)]
 _HALF_TEXT = [f"{_ROW_TEXT[h >> 4]}/{_ROW_TEXT[h & 0xF]}" for h in range(256)]
+_HEX = [f"{h:02x}" for h in range(256)]  # the hex digits of each byte value
 
 
 def render_pattern(mask: int) -> str:
@@ -87,8 +91,6 @@ def _covering_json(cov):
 _POINT_JSON = {p: json.dumps(list(p)) for p in states.ALL_POINTS}
 _ITEM_CSV = {(q, w): '{""points"": %s, ""weight"": %d}' % (json.dumps([list(p) for p in pts]), w)
              for q, pts in _QUAD_POINTS.items() for w in range(1, lattice.MAX_MULTIPLICITY + 1)}
-# The NptEntangled row after its pattern, per (min_pt_eig, cross_check_ok).
-_NPT_TAIL = {}
 
 
 REPORT_FIELDS = [
@@ -126,29 +128,22 @@ def _point_cell(p) -> str:
     return "" if p is None else f'"{_POINT_JSON[p]}"'
 
 
-def _csv_row(rec: lattice.SurveyRecord) -> str:
-    """The CSV line of `report_record(rec)`, cells in REPORT_FIELDS
-    order, quoted where csv.writer quotes: only the point cells, the
-    certificate and a multi-criterion criteria_fired hold a comma, and
-    only the certificate a quote."""
-    cls = rec.classification
-    mask = rec.mask
-    head = f"{mask:#06x},{rec.n_points},{_HALF_TEXT[mask >> 8]}/{_HALF_TEXT[mask & 0xFF]},"
-    if cls.tag == "NptEntangled":  # fired "npt", no points, certificate or delta
-        key = cls.min_pt_eig, rec.cross_check_ok
-        if key not in _NPT_TAIL:
-            _NPT_TAIL[key] = f"NptEntangled,npt,,,,{key[0]!r},,,{_scalar_cell(key[1])}\r\n"
-        return head + _NPT_TAIL[key]
+def _csv_tail(cls: lattice.Classification, ok) -> str:
+    """The CSV line of a report record after its pattern cell, from the
+    mask's classification and cross-check value: the cells in
+    REPORT_FIELDS order, quoted where csv.writer quotes (only the point
+    cells, the certificate and a multi-criterion criteria_fired hold a
+    comma, and only the certificate a quote)."""
     cov = cls.covering
     if cov is not None:  # Separable: no criteria fired, no points, eigenvalue or delta
         items = ", ".join([_ITEM_CSV[item] for item in cov.items])
-        return (f'{head}Separable,,,,,,"{{""multiplicity"": {cov.multiplicity}, ""quadruples"": [{items}]}}",,'
-                f"{_scalar_cell(rec.cross_check_ok)}\r\n")
+        return (f'Separable,,,,,,"{{""multiplicity"": {cov.multiplicity}, ""quadruples"": [{items}]}}",,'
+                f"{_scalar_cell(ok)}\r\n")
     fired = ",".join(cls.criteria_fired)
-    return head + ",".join([
+    return ",".join([
         cls.tag, f'"{fired}"' if "," in fired else fired, _point_cell(cls.special_point),
         _point_cell(cls.one_point), _point_cell(cls.k_pair), _scalar_cell(cls.min_pt_eig), "",
-        _scalar_cell(cls.witness_delta), _scalar_cell(rec.cross_check_ok),
+        _scalar_cell(cls.witness_delta), _scalar_cell(ok),
     ]) + "\r\n"
 
 
@@ -198,20 +193,29 @@ def cmd_classify(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    """Write each report row as soon as its mask is classified; a
-    cross-validation mismatch is reported once the whole report is written."""
-    counts = {}
-    bad = []
-    row = _csv_row if args.format == "csv" else lambda rec: json.dumps(report_record(rec)) + "\n"
+    """Write the report 256 rows at a time, as the sweep classifies them.  A CSV row is its head
+    (mask, n, pattern) and tail, the NptEntangled tails built once per (n, c, cross-check); a
+    JSONL row is `report_record` of its record.  A cross-validation mismatch is reported once
+    the whole report is written."""
+    counts, bad = Counter(), []
+    npt = lru_cache(maxsize=None)(lattice._npt_classification)  # one per (n, c), as in `lattice.survey`
+    tails = {(n, c, ok): _csv_tail(npt(n, c), ok)  # a cross holds 6 points
+             for n in range(1, 17) for c in range(7) if 2 * c > n for ok in (True, False, None)}
     try:
         with open(args.out, "w", newline="") as fh:
             if args.format == "csv":
                 fh.write(",".join(REPORT_FIELDS) + "\r\n")
-            for rec in lattice.survey(cross_validate=args.cross_validate):
-                fh.write(row(rec))
-                counts[rec.classification.tag] = counts.get(rec.classification.tag, 0) + 1
-                if rec.cross_check_ok is False:
-                    bad.append(rec.mask)
+            for masks, ns, cs, ppt_cls, oks in lattice._survey_blocks(args.cross_validate):
+                ppt, rows = iter(ppt_cls), zip(masks, ns, cs, oks)
+                if args.format == "jsonl":
+                    fh.write("".join([json.dumps(report_record(lattice.SurveyRecord(
+                        I, n, npt(n, c) if 2 * c > n else next(ppt), ok))) + "\n" for I, n, c, ok in rows]))
+                else:
+                    fh.write("".join([f"0x{_HEX[I >> 8]}{_HEX[I & 0xFF]},{n},{_HALF_TEXT[I >> 8]}/{_HALF_TEXT[I & 0xFF]},"
+                                      + (tails[n, c, ok] if 2 * c > n else _csv_tail(next(ppt), ok))
+                                      for I, n, c, ok in rows]))
+                counts.update(map(attrgetter("tag"), ppt_cls), NptEntangled=len(masks) - len(ppt_cls))
+                bad += [I for I, ok in zip(masks, oks) if ok is False]
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 4

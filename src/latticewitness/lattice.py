@@ -11,15 +11,16 @@ only where the public API takes or returns points, converted by
 integer combinatorics, written once in `_criteria` for an array of
 masks; the functions for one mask read its row.  The minimum
 partial-transpose eigenvalue of an NPT subset is the closed form
-(N - 2c)/(4N), c the largest cross count; `pt_min_eig` computes it
-with numpy.linalg as an independent oracle for cross-validation only.
+(N - 2c)/(4N), c the largest cross count; `pt_min_eig`, an independent
+numpy.linalg oracle for cross-validation only, computes it per block.
 A lattice translation tau_t XORs each point's bit index with that of t,
 and the special quadruples are the translates of the 15 planes
 {0, a, b, a^b} of bit indices whose words commute.
-`survey` sweeps masks 1..0xffff in 4096-mask blocks: it counts every
+The survey sweeps masks 1..0xffff in 4096-mask blocks: it counts every
 mask's points and largest cross count, all an NPT record needs, runs
 the rest of `_criteria` and the least translates on PPT masks only,
-and builds each record with the tag dispatch that `classify` runs.
+classifies with the tag dispatch of `classify` and, cross-validating,
+runs the oracle once per block; `survey` yields the records.
 """
 
 from __future__ import annotations
@@ -323,13 +324,25 @@ def separability_certificate(I: int, covering: Covering) -> CertificateRecord:
     return CertificateRecord([(q, w / total) for q, w in items], err, all_ppt)
 
 
-def pt_min_eig(I: int) -> float:
-    """Numeric minimum eigenvalue of the partial transpose of the
-    lattice state: the independent numpy.linalg oracle against which
-    cross-validation checks the combinatorial PPT test and the exact
-    NptEntangled eigenvalue."""
-    rho = states.lattice_state(I)
-    return float(np.linalg.eigvalsh(linalg.partial_transpose(rho.mat, (4, 4)))[0])
+@lru_cache(maxsize=1)  # built on the first oracle call, not at import
+def _pt_byte_sums() -> np.ndarray:
+    """Per byte value v, for a mask's low and high byte, the flattened sum of the partial transposes
+    of the basis projectors at the set bits of v; real, as (1 x sigma_w)|phi+> is real or i times real."""
+    pt = np.array([linalg.partial_transpose(P, (4, 4)) for P in states._basis_projectors()]).real
+    return np.einsum("vk,bkx->bvx", np.arange(256)[:, None] >> np.arange(8) & 1, pt.reshape(2, 8, 256))
+
+
+def pt_min_eig(I):
+    """Numeric minimum eigenvalue of the partial transpose of the lattice state of the mask I, or
+    of each mask of a uint16 array as an array: the numpy.linalg oracle for the combinatorial PPT
+    test and the exact NptEntangled eigenvalue.  A mask's matrix is its two bytes' rows of
+    `_pt_byte_sums`, its eigenvalues over N: einsum and indexing wake no BLAS threads to spin on."""
+    if not isinstance(I, np.ndarray):
+        return float(pt_min_eig(np.array([check_mask(I)], dtype=np.uint16))[0])
+    low, high = _pt_byte_sums()
+    return np.concatenate([
+        np.linalg.eigvalsh((low[m & 0xFF] + high[m >> 8]).reshape(-1, 16, 16))[:, 0] / np.bitwise_count(m)
+        for m in np.split(I, range(512, len(I), 512))])
 
 
 @dataclass(slots=True)
@@ -398,9 +411,6 @@ class SurveyRecord:
     cross_check_ok: bool = None  # combinatorial PPT and exact min PT eigenvalue vs numpy.linalg
 
 
-_BLOCK = 4096  # masks per numpy pass of `survey`
-
-
 def _block_canonical(m):
     """Per mask of the uint16 array m, as lists: its least translate and the
     index s of the first translation ALL_POINTS[s] giving it, as in `canonical_mask`."""
@@ -408,28 +418,34 @@ def _block_canonical(m):
     return imgs.min(0).tolist(), imgs.argmin(0).tolist()
 
 
+def _survey_blocks(cross_validate: bool = False):
+    """Per 256 masks of 1..0xffff, in order, computed when asked for, as lists: the masks, point
+    counts n and largest cross counts c, the classifications of the PPT masks (2c <= n) in mask
+    order, and every mask's cross-check against `pt_min_eig` (all None unless cross_validate).
+    The rest of `_criteria` and the least translates run per 4096 masks, on PPT masks only;
+    within one sweep a least translate's covering is searched once."""
+    memo, npt = {}, lru_cache(maxsize=None)(_npt_classification)
+    for lo in range(1, 1 << 16, 4096):
+        block = np.arange(lo, min(lo + 4096, 1 << 16), dtype=np.uint16)
+        ns, cs = np.bitwise_count(block), np.bitwise_count(_CROSS & block).max(0)
+        ppt = block[2 * cs <= ns]
+        rows = zip(ppt.tolist(), *_criteria(ppt)[2:], *_block_canonical(ppt))
+        for j in range(0, len(block), 256):
+            m, n_j, c_j = block[j:j + 256], ns[j:j + 256].tolist(), cs[j:j + 256].tolist()
+            ppt_cls = [_ppt_classification(*next(rows), memo) for n, c in zip(n_j, c_j) if 2 * c <= n]
+            oks = [x >= -1e-9 if 2 * c <= n else x < -1e-9 and abs(npt(n, c).min_pt_eig - x) < 1e-12
+                   for n, c, x in zip(n_j, c_j, pt_min_eig(m).tolist())] if cross_validate else [None] * len(m)
+            yield m.tolist(), n_j, c_j, ppt_cls, oks
+
+
 def survey(*, cross_validate: bool = False):
-    """Yield a record per nonempty subset, masks 1..0xffff in order,
-    classifying in one process.  Within one survey the coverings are
-    searched once per least translate, and the NptEntangled masks with
-    the same point count and largest cross count share one
-    `Classification` object: treat records as read-only.  Nothing is
-    shared with another survey or with `classify`, which returns a new
-    object."""
-    memo, npt = {}, lru_cache(maxsize=None)(_npt_classification)  # one NptEntangled record per (n, c)
-    for lo in range(1, 1 << 16, _BLOCK):
-        m = np.arange(lo, min(lo + _BLOCK, 1 << 16), dtype=np.uint16)
-        ns, cs = np.bitwise_count(m), np.bitwise_count(_CROSS & m).max(0)  # point counts, largest cross counts
-        ppt = m[2 * cs <= ns]  # the rest of the criteria and the translates only for these
-        ppt_rows = zip(*_criteria(ppt)[2:], *_block_canonical(ppt))
-        for I, n, c in zip(m.tolist(), ns.tolist(), cs.tolist()):
-            cls = npt(n, c) if 2 * c > n else _ppt_classification(I, *next(ppt_rows), memo)
-            rec = SurveyRecord(I, n, cls)
-            if cross_validate:
-                numeric = pt_min_eig(I)
-                rec.cross_check_ok = ((cls.tag != "NptEntangled") == (numeric >= -1e-9)
-                                      and (cls.min_pt_eig is None or abs(cls.min_pt_eig - numeric) < 1e-12))
-            yield rec
+    """Yield a record per nonempty subset, masks 1..0xffff in order, from `_survey_blocks`; the
+    NptEntangled ones of one survey share a `Classification` per (n, c), so treat them as read-only."""
+    npt = lru_cache(maxsize=None)(_npt_classification)
+    for masks, ns, cs, ppt_cls, oks in _survey_blocks(cross_validate):
+        ppt = iter(ppt_cls)
+        yield from (SurveyRecord(I, n, npt(n, c) if 2 * c > n else next(ppt), ok)
+                    for I, n, c, ok in zip(masks, ns, cs, oks))
 
 
 def survey_all(cross_validate: bool = False, *, workers: int = 1):

@@ -10,7 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import reference
 
 import latticewitness
 from latticewitness import cli, criteria, lattice, maps, states
@@ -338,7 +340,8 @@ def test_csv_row_is_what_csv_writer_writes():
                      and row[key] is not None else row[key] for key in cli.REPORT_FIELDS]
             buf = io.StringIO()
             csv.writer(buf).writerow(cells)
-            assert cli._csv_row(rec) == buf.getvalue()
+            head = f"{row['mask']},{row['n_points']},{row['pattern']},"  # cells csv.writer does not quote
+            assert head + cli._csv_tail(rec.classification, check) == buf.getvalue()
 
 
 def test_survey_jsonl(tmp_path, capsys):
@@ -348,22 +351,42 @@ def test_survey_jsonl(tmp_path, capsys):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SURVEY_JSONL_SHA256
 
 
-def test_survey_cross_validation_mismatch_exits_3_after_the_report(tmp_path, capsys, monkeypatch):
-    def survey(cross_validate):
-        assert cross_validate
-        for mask in (0x0001, 0x000F, 0x0033):
-            rec = lattice.SurveyRecord(mask, mask.bit_count(), lattice.classify(mask))
-            rec.cross_check_ok = mask != 0x000F
-            yield rec
+def test_survey_cross_validation_holds_on_every_row(tmp_path, capsys):
+    # through the real oracle: each row is the plain survey's row with
+    # the cross-check cell, empty there, True
+    plain, checked = tmp_path / "plain.csv", tmp_path / "checked.csv"
+    assert cli.main(["survey", "--out", str(plain)]) == 0
+    assert cli.main(["survey", "--out", str(checked), "--cross-validate"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = plain.read_bytes().decode().split("\r\n")
+    assert len(rows) == 65537 and rows[0] == ",".join(cli.REPORT_FIELDS) and rows[-1] == ""
+    assert checked.read_bytes().decode().split("\r\n") == [rows[0]] + [row + "True" for row in rows[1:-1]] + [""]
 
-    monkeypatch.setattr(lattice, "survey", survey)
-    out_path = tmp_path / "survey.jsonl"
-    assert cli.main(["survey", "--out", str(out_path), "--format", "jsonl", "--cross-validate"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "cross-validation mismatch on 1 masks, first 0x000f\n"
-    rows = [json.loads(line) for line in out_path.read_text().splitlines()]
-    assert [row["numeric_cross_check"] for row in rows] == [True, False, True]
+
+def test_survey_cross_validation_mismatch_exits_3_after_the_report(tmp_path, capsys, monkeypatch):
+    # the oracle, the reference minima here, misreads the NptEntangled
+    # mask 0x000f as positive
+    minima = np.array(reference.pt_minima())
+
+    def misreading(masks):
+        low = minima[masks]
+        low[masks == 0x000F] = 0.0
+        return low
+
+    monkeypatch.setattr(lattice, "pt_min_eig", misreading)
+    for fmt in ("csv", "jsonl"):
+        out_path = tmp_path / f"survey.{fmt}"
+        assert cli.main(["survey", "--out", str(out_path), "--format", fmt, "--cross-validate"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cross-validation mismatch on 1 masks, first 0x000f\n"
+        with open(out_path, newline="") as fh:
+            rows = list(csv.DictReader(fh)) if fmt == "csv" else [json.loads(line) for line in fh]
+        # the whole report is written, every row but that mask's checked True
+        assert [row["mask"] for row in rows] == [f"{mask:#06x}" for mask in range(1, 1 << 16)]
+        checks = [str(row["numeric_cross_check"]) for row in rows]
+        assert checks[0x000F - 1] == "False"
+        assert checks.count("True") == 65534
 
 
 def test_survey_unwritable_output_exits_4(tmp_path, capsys):
